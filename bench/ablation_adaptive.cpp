@@ -1,11 +1,9 @@
 // Ablation: closed-loop granularity against the fixed-grain sweep — the
 // paper's stated end goal ("dynamically adapting task size to optimize
-// parallel performance"), three ways:
+// parallel performance"):
 //
 //   best-fixed      the winner of a log-spaced static chunk sweep (Fig. 3's
 //                   oracle: pick the grain after seeing the whole curve)
-//   adaptive_chunk  the wave-at-a-time idle-rate tuner (core/tuner.hpp),
-//                   started deliberately too fine
 //   lazy_chunk      demand-driven lazy splitting (core/split_controller.hpp
 //                   + algo/splittable.hpp) — no grain parameter at all
 //
@@ -48,7 +46,7 @@ namespace {
 struct cell {
   std::string mode;      // "native" | "sim"
   std::string kernel;    // "busy_spin" | "memory_stream"
-  std::string strategy;  // "fixed" | "adaptive" | "lazy"
+  std::string strategy;  // "fixed" | "lazy"
   std::uint64_t chunk = 0;        // fixed: the swept chunk; lazy: 0
   double time_med_s = 0.0;
   double items_per_s = 0.0;
@@ -61,18 +59,21 @@ struct cell {
 struct gate_row {
   std::string mode, kernel;
   std::uint64_t best_chunk = 0;
-  double best_fixed_s = 0, adaptive_s = 0, lazy_s = 0;
-  double lazy_vs_best = 0, adaptive_vs_best = 0;
+  double best_fixed_s = 0, lazy_s = 0;
+  double lazy_vs_best = 0;
 };
 
 // Per-item native kernels, each ~item_ns of work. Both write a result the
 // optimizer cannot discard; indices are touched exactly once per run, so the
-// plain stores race with nothing.
+// plain stores race with nothing. The body stays out of line so every
+// strategy runs the same machine code per item: inlined into each chunking
+// path, its alignment follows the layout of the whole binary, and an
+// unrelated layout change can move lazy anywhere from ~70% to ~120% of best.
 struct native_workload {
   long spin_iters = 0;                  // busy_spin: calibrated iterations
   std::vector<std::uint64_t>* stream = nullptr;  // memory_stream: 8 words/item
 
-  void operator()(std::size_t i) const {
+  [[gnu::noinline]] void operator()(std::size_t i) const {
     if (stream != nullptr) {
       std::uint64_t* w = stream->data() + i * 8;
       std::uint64_t acc = i;
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
   std::vector<cell> cells;
   std::vector<gate_row> gates;
 
-  std::cout << "Ablation: best-fixed vs adaptive_chunk vs lazy_chunk ("
+  std::cout << "Ablation: best-fixed vs lazy_chunk ("
             << items << " items, ~" << item_ns << " ns/item, " << workers
             << " workers, median of " << samples << ")\n";
 
@@ -176,9 +177,6 @@ int main(int argc, char** argv) {
         for (const std::uint64_t chunk : sweep_chunks(items, workers))
           runs.push_back({algo::static_chunk{static_cast<std::size_t>(chunk)},
                           cell{"native", kname, "fixed", chunk}});
-      if (strategy_filter == "all" || strategy_filter == "adaptive")
-        runs.push_back(
-            {algo::adaptive_chunk{.initial = 16}, cell{"native", kname, "adaptive"}});
       if (strategy_filter == "all" || strategy_filter == "lazy")
         runs.push_back({algo::lazy_chunk{}, cell{"native", kname, "lazy"}});
 
@@ -207,15 +205,12 @@ int main(int argc, char** argv) {
           g.best_fixed_s = c.time_med_s;
           g.best_chunk = c.chunk;
         }
-        if (c.strategy == "adaptive") g.adaptive_s = c.time_med_s;
         if (c.strategy == "lazy") g.lazy_s = c.time_med_s;
         cells.push_back(c);
       }
       // The gate needs both sides; strategy-filtered runs just print cells.
       if (want_fixed && g.lazy_s > 0) {
         g.lazy_vs_best = g.best_fixed_s / g.lazy_s;
-        g.adaptive_vs_best =
-            g.adaptive_s > 0 ? g.best_fixed_s / g.adaptive_s : 0.0;
         gates.push_back(g);
       }
     }
@@ -268,7 +263,6 @@ int main(int argc, char** argv) {
                          r.splits, r.split_denied});
         g.lazy_s = r.makespan_s;
       }
-      g.adaptive_s = 0;  // the wave tuner has no simulator counterpart
       g.lazy_vs_best = g.best_fixed_s / g.lazy_s;
       gates.push_back(g);
     }
@@ -293,11 +287,7 @@ int main(int argc, char** argv) {
     std::cout << g.mode << "/" << g.kernel << ": best fixed chunk "
               << g.best_chunk << " at " << format_number(g.best_fixed_s, 5)
               << " s; lazy " << format_number(g.lazy_s, 5) << " s ("
-              << format_number(g.lazy_vs_best * 100, 1) << "% of best)";
-    if (g.adaptive_s > 0)
-      std::cout << "; adaptive " << format_number(g.adaptive_s, 5) << " s ("
-                << format_number(g.adaptive_vs_best * 100, 1) << "%)";
-    std::cout << "\n";
+              << format_number(g.lazy_vs_best * 100, 1) << "% of best)\n";
     if (g.lazy_vs_best < ratio_gate) pass = false;
   }
 
@@ -325,9 +315,8 @@ int main(int argc, char** argv) {
       f << "    {\"mode\": \"" << g.mode << "\", \"kernel\": \"" << g.kernel
         << "\", \"best_fixed_chunk\": " << g.best_chunk
         << ", \"best_fixed_s\": " << g.best_fixed_s
-        << ", \"adaptive_s\": " << g.adaptive_s << ", \"lazy_s\": " << g.lazy_s
+        << ", \"lazy_s\": " << g.lazy_s
         << ", \"lazy_vs_best\": " << g.lazy_vs_best
-        << ", \"adaptive_vs_best\": " << g.adaptive_vs_best
         << ", \"pass\": " << (g.lazy_vs_best >= ratio_gate ? "true" : "false")
         << "}" << (i + 1 < gates.size() ? "," : "") << "\n";
     }

@@ -29,8 +29,8 @@
 //   --window=N       construction window, rows (default 8)
 //   --json=PATH      machine-readable results
 //
-// Observability flags (--trace-out, --sample-interval-us, ...) are honored;
-// see docs/TRACING.md.
+// Observability flags (--trace-out, --metrics-out, ...) are honored; see
+// docs/TRACING.md.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>

@@ -14,12 +14,12 @@
 //   --csv=PREFIX            also write PREFIX<tag>.csv per series
 //   --quiet                 suppress progress lines
 //
-// plus the observability knobs (native mode; see docs/TRACING.md):
+// plus the observability knobs (native mode; see docs/TRACING.md and
+// docs/TELEMETRY.md):
 //   --trace-out=PATH         export a Chrome/Perfetto trace of the run
 //   --trace-buf=N            per-worker trace ring capacity, events
-//   --sample-interval-us=N   background counter sampling period (>0 = on)
-//   --sample-out=PATH        time-series dump (.csv or .json)
-//   --sample-set=P1,P2       counter prefixes to sample (default /threads)
+//   --metrics-out=DEST       counter time series: one JSONL window per interval
+//   --metrics-interval-us=N  window length (default 100000)
 #pragma once
 
 #include <cstdio>
@@ -53,8 +53,8 @@ struct fig_options {
   bool select = false;                  // run the §IV selector claims
 };
 
-// Tracing/sampling session for a bench main(): CLI flags layered over the
-// GRAN_TRACE / GRAN_SAMPLE_US env knobs. Construct it before the first
+// Tracing/telemetry session for a bench main(): CLI flags layered over the
+// GRAN_TRACE / GRAN_METRICS env knobs. Construct it before the first
 // thread_manager; artifacts are written when it goes out of scope.
 inline perf::observability_session::options observability_options(const cli_args& args) {
   return perf::observability_session::options_from_cli(

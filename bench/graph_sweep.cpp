@@ -33,8 +33,8 @@
 //                      Eq. 1–3 recomputed from events) after the table;
 //                      see docs/ANALYSIS.md
 //
-// Observability flags (--trace-out, --trace-bin, --sample-interval-us, ...)
-// are honored in native mode; see docs/TRACING.md.
+// Observability flags (--trace-out, --trace-bin, --metrics-out, ...) are
+// honored in native mode; see docs/TRACING.md.
 #include <iostream>
 #include <memory>
 #include <string>

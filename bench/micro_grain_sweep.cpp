@@ -31,6 +31,7 @@
 #include "sim/graph_sim.hpp"
 #include "sim/sim_backend.hpp"
 #include "sync/latch.hpp"
+#include "threads/policy.hpp"
 #include "threads/thread_manager.hpp"
 #include "topo/topology.hpp"
 #include "util/cli.hpp"
@@ -176,7 +177,7 @@ int run_graph_pattern(const cli_args& args, graph::pattern kind) {
   } else {
     cores = static_cast<int>(args.get_int("workers", 0));
     backend = std::make_unique<core::native_graph_backend>(
-        args.get("policy", "priority-local-fifo"));
+        resolve_policy_name(args.get("policy", "")));
   }
 
   std::cout << "Micro grain sweep (" << backend->name() << "): " << total_us / 1e3

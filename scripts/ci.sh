@@ -78,6 +78,23 @@ flight_bin=$(ls "$trace_tmp"/flight-*.bin 2>/dev/null | head -1)
 ./build/tools/gran_trace_report --in="$flight_bin" >/dev/null
 echo "telemetry smoke: exporters + SIGUSR1 flight dump ok"
 
+echo "=== ci: env time-series smoke ==="
+# The counter time series with no flags at all: GRAN_METRICS arms the
+# telemetry session from the thread manager's constructor in any gran
+# program, and every window line carries the /threads counters under
+# "counters".
+GRAN_METRICS="$trace_tmp/env.jsonl" GRAN_METRICS_US=20000 \
+    ./build/examples/heat_ring --points=400000 --partition=1000 --steps=50 \
+    --workers=2 >/dev/null
+./build/tools/gran_top --check="$trace_tmp/env.jsonl"
+env_windows=$(grep -cE \
+    '"type":"window".*"counters":\{[^}]*"/threads/count/cumulative":' \
+    "$trace_tmp/env.jsonl" || true)
+[[ "$env_windows" -ge 2 ]] \
+  || { echo "env time-series smoke: $env_windows window(s) hold" \
+            "/threads/count/cumulative, want >= 2" >&2; exit 1; }
+echo "env time-series smoke: $env_windows windows ok"
+
 echo "=== ci: topology smoke ==="
 # Hier-vs-flat steal order and both pinning layouts at CI sizes. The forced
 # 2-worker / 2-domain split exercises the remote-steal accounting even on

@@ -5,20 +5,17 @@
 //                     "partition size");
 //   auto_chunk{}      items / (workers * oversubscription) — a decent
 //                     static default when per-item cost is unknown;
-//   adaptive_chunk{}  starts fine and re-tunes between waves from the live
-//                     idle-rate counter (core/tuner.hpp) — the paper's
-//                     dynamic-adaptation goal;
 //   lazy_chunk{}      starts coarse (one task per worker) and splits running
 //                     tasks on demand when the runtime observes starvation
 //                     (core/split_controller.hpp + algo/splittable.hpp) —
-//                     closed-loop granularity without a grain parameter.
+//                     closed-loop granularity without a grain parameter,
+//                     the paper's dynamic-adaptation goal.
 #pragma once
 
 #include <cstddef>
 #include <variant>
 
 #include "core/split_controller.hpp"
-#include "core/tuner.hpp"
 
 namespace gran::algo {
 
@@ -32,11 +29,6 @@ struct auto_chunk {
   std::size_t tasks_per_worker = 4;
 };
 
-struct adaptive_chunk {
-  std::size_t initial = 16;
-  core::tuner_options options{};
-};
-
 struct lazy_chunk {
   // Controller knobs; the default applies the GRAN_SPLIT / GRAN_SPLIT_MIN
   // environment overrides.
@@ -45,12 +37,11 @@ struct lazy_chunk {
   std::size_t initial_tasks = 0;
 };
 
-using chunking = std::variant<static_chunk, auto_chunk, adaptive_chunk, lazy_chunk>;
+using chunking = std::variant<static_chunk, auto_chunk, lazy_chunk>;
 
-// Resolves a non-adaptive policy to a concrete chunk size for `items` of
-// work on `workers` workers (adaptive resolves per wave inside the
-// algorithm; lazy resolves to its coarse initial blocks, the answer for
-// algorithms that cannot split mid-flight, e.g. reductions).
+// Resolves a policy to a concrete chunk size for `items` of work on
+// `workers` workers (lazy resolves to its coarse initial blocks, the answer
+// for algorithms that cannot split mid-flight, e.g. reductions).
 std::size_t resolve_chunk(const chunking& policy, std::size_t items, int workers);
 
 }  // namespace gran::algo

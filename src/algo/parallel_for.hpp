@@ -2,16 +2,13 @@
 //
 //   parallel_for(tm, 0, n, [&](std::size_t i) { ... });                 // auto chunk
 //   parallel_for(tm, 0, n, fn, algo::static_chunk{4096});
-//   parallel_for(tm, 0, n, fn, algo::adaptive_chunk{.initial = 16});
 //   parallel_for(tm, 0, n, fn, algo::lazy_chunk{});    // no grain parameter
 //
 // Each chunk becomes one task; the chunking policy is the task-granularity
-// dial. The adaptive policy re-tunes the chunk between waves from the
-// idle-rate counter (paper §VI's stated goal). The lazy policy starts with
-// one coarse task per worker and splits running tasks on demand
-// (algo/splittable.hpp) — closed-loop granularity with no grain parameter at
-// all. Exceptions from `fn` propagate to the caller (first one wins; the
-// wave still drains).
+// dial. The lazy policy starts with one coarse task per worker and splits
+// running tasks on demand (algo/splittable.hpp) — closed-loop granularity
+// with no grain parameter at all (paper §VI's stated goal). Exceptions from
+// `fn` propagate to the caller (first one wins; the wave still drains).
 #pragma once
 
 #include <atomic>
@@ -29,25 +26,21 @@ namespace gran::algo {
 namespace detail {
 
 // Runs one wave of chunk tasks over [first, last); records the first
-// exception into `error`. `range_first`/`range_items` describe the loop's
-// *full* index range: each chunk is hinted to the worker whose NUMA domain
-// owns its slice of the index space (home_worker_for_block), a mapping that
-// stays stable across waves and chunk-size changes so repeated loops over
+// exception into `error`. Each chunk is hinted to the worker whose NUMA
+// domain owns its slice of the index space (home_worker_for_block), a
+// mapping that stays stable across chunk-size changes so repeated loops over
 // the same data keep touching the same domains. The hint is advisory — any
 // worker may still steal the chunk.
 template <typename F>
 void run_wave(thread_manager& tm, std::size_t first, std::size_t last,
               std::size_t chunk, const F& fn, std::atomic<bool>& failed,
-              std::exception_ptr& error, spinlock& error_guard,
-              std::size_t range_first, std::size_t range_items,
-              core::wave_probe* probe = nullptr) {
+              std::exception_ptr& error, spinlock& error_guard) {
   const std::size_t items = last - first;
   const std::size_t tasks = (items + chunk - 1) / chunk;
-  if (probe != nullptr) probe->arm(tasks);
   latch done(static_cast<std::int64_t>(tasks));
   for (std::size_t lo = first; lo < last; lo += chunk) {
     const std::size_t hi = std::min(last, lo + chunk);
-    const int home = tm.home_worker_for_block(lo - range_first, range_items);
+    const int home = tm.home_worker_for_block(lo - first, items);
     tm.spawn_on(
         home,
         [&, lo, hi] {
@@ -61,7 +54,6 @@ void run_wave(thread_manager& tm, std::size_t first, std::size_t last,
               error_guard.unlock();
             }
           }
-          if (probe != nullptr) probe->task_done(tm);
           done.count_down();
         },
         task_priority::normal, "parallel_for");
@@ -82,31 +74,7 @@ void parallel_for(thread_manager& tm, std::size_t first, std::size_t last, F&& f
   std::exception_ptr error;
   spinlock error_guard;
 
-  if (const auto* adaptive = std::get_if<adaptive_chunk>(&policy)) {
-    // Wave-at-a-time with idle-rate feedback between waves. The wave_probe
-    // closes each measurement interval inside the wave's last finishing task
-    // so the join tail is not misread as fine-grain overhead.
-    core::grain_tuner tuner(adaptive->initial, adaptive->options);
-    core::wave_probe probe;
-    std::size_t next = first;
-    while (next < last && !failed.load(std::memory_order_relaxed)) {
-      const std::size_t chunk = tuner.chunk();
-      const std::size_t wave_items = std::min<std::size_t>(
-          last - next,
-          std::max<std::size_t>(chunk * static_cast<std::size_t>(tm.num_workers()) * 4,
-                                chunk));
-      const auto before = tm.counter_totals();
-      detail::run_wave(tm, next, next + wave_items, chunk, fn, failed, error,
-                       error_guard, first, items, &probe);
-      const auto after = probe.end_or(tm.counter_totals());
-      const double func = static_cast<double>(after.func_ns - before.func_ns);
-      const double exec = static_cast<double>(after.exec_ns - before.exec_ns);
-      const double idle = func > 0 ? std::max(0.0, func - exec) / func : 0.0;
-      tuner.update(idle, after.tasks_executed - before.tasks_executed,
-                   tm.num_workers());
-      next += wave_items;
-    }
-  } else if (const auto* lazy = std::get_if<lazy_chunk>(&policy)) {
+  if (const auto* lazy = std::get_if<lazy_chunk>(&policy)) {
     // Demand-driven: coarse per-worker blocks, split only when the runtime
     // observes starvation. No grain parameter.
     core::split_controller ctl(lazy->options);
@@ -118,8 +86,7 @@ void parallel_for(thread_manager& tm, std::size_t first, std::size_t last, F&& f
     }
   } else {
     const std::size_t chunk = resolve_chunk(policy, items, tm.num_workers());
-    detail::run_wave(tm, first, last, chunk, fn, failed, error, error_guard,
-                     first, items);
+    detail::run_wave(tm, first, last, chunk, fn, failed, error, error_guard);
   }
 
   if (failed.load(std::memory_order_acquire) && error) std::rethrow_exception(error);

@@ -26,13 +26,7 @@ T parallel_reduce(thread_manager& tm, std::size_t first, std::size_t last, T ini
                   Map&& map, Combine&& combine, const chunking& policy = auto_chunk{}) {
   if (first >= last) return init;
   const std::size_t items = last - first;
-  // The adaptive policy is wave-structured and does not fit a one-shot
-  // reduction; treat it as its initial static chunk.
-  std::size_t chunk;
-  if (const auto* adaptive = std::get_if<adaptive_chunk>(&policy))
-    chunk = std::max<std::size_t>(1, adaptive->initial);
-  else
-    chunk = resolve_chunk(policy, items, tm.num_workers());
+  const std::size_t chunk = resolve_chunk(policy, items, tm.num_workers());
 
   const std::size_t tasks = (items + chunk - 1) / chunk;
   std::vector<T> partials(tasks, init);

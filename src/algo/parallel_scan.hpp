@@ -24,11 +24,7 @@ void parallel_inclusive_scan(thread_manager& tm, std::size_t first, std::size_t 
                              const chunking& policy = auto_chunk{}) {
   if (first >= last) return;
   const std::size_t items = last - first;
-  std::size_t chunk;
-  if (const auto* adaptive = std::get_if<adaptive_chunk>(&policy))
-    chunk = std::max<std::size_t>(1, adaptive->initial);
-  else
-    chunk = resolve_chunk(policy, items, tm.num_workers());
+  const std::size_t chunk = resolve_chunk(policy, items, tm.num_workers());
   const std::size_t tasks = (items + chunk - 1) / chunk;
 
   // Phase 1: per-chunk totals, in parallel.
@@ -99,11 +95,7 @@ template <typename Fn, typename Sink>
 void parallel_transform(thread_manager& tm, std::size_t first, std::size_t last,
                         Fn&& fn, Sink&& sink, const chunking& policy = auto_chunk{}) {
   if (first >= last) return;
-  std::size_t chunk;
-  if (const auto* adaptive = std::get_if<adaptive_chunk>(&policy))
-    chunk = std::max<std::size_t>(1, adaptive->initial);
-  else
-    chunk = resolve_chunk(policy, last - first, tm.num_workers());
+  const std::size_t chunk = resolve_chunk(policy, last - first, tm.num_workers());
   const std::size_t tasks = (last - first + chunk - 1) / chunk;
   latch done(static_cast<std::int64_t>(tasks));
   for (std::size_t lo = first; lo < last; lo += chunk) {

@@ -9,7 +9,6 @@
 #include "async/packaged_task.hpp"
 #include "async/when_all.hpp"
 #include "perf/counters.hpp"
-#include "perf/sampler.hpp"
 #include "sync/barrier.hpp"
 #include "sync/channel.hpp"
 #include "sync/condition_variable.hpp"

@@ -49,30 +49,18 @@ void registry::add(const std::string& path, counter_kind kind, std::string descr
                    sample_fn fn) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   counters_[path] = entry{kind, std::move(description), std::move(fn)};
-  ++generation_;
 }
 
 bool registry::remove(const std::string& path) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
-  const bool erased = counters_.erase(path) != 0;
-  if (erased) ++generation_;
-  return erased;
+  return counters_.erase(path) != 0;
 }
 
 void registry::remove_prefix(const std::string& prefix) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   auto it = counters_.lower_bound(prefix);
-  bool any = false;
-  while (it != counters_.end() && it->first.rfind(prefix, 0) == 0) {
+  while (it != counters_.end() && it->first.rfind(prefix, 0) == 0)
     it = counters_.erase(it);
-    any = true;
-  }
-  if (any) ++generation_;
-}
-
-std::uint64_t registry::generation() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return generation_;
 }
 
 std::optional<counter_value> registry::query(const std::string& path) const {
@@ -145,7 +133,6 @@ std::string registry::describe(const std::string& path) const {
 void registry::clear() {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   counters_.clear();
-  ++generation_;
 }
 
 }  // namespace gran::perf

@@ -93,12 +93,6 @@ class registry {
   // Raw value convenience; `def` for unknown paths.
   double value_or(const std::string& path, double def) const;
 
-  // Monotonically increasing whenever the registered counter *set* changes
-  // (add/remove/remove_prefix/clear). Consumers that cache a resolved
-  // counter list (sampler_thread, window_aggregator) compare generations to
-  // notice late registrations instead of freezing their column set.
-  std::uint64_t generation() const;
-
   // All registered paths starting with `prefix`, sorted.
   std::vector<std::string> list(const std::string& prefix = "/") const;
 
@@ -124,14 +118,13 @@ class registry {
 
   // Reader-writer: queries hold a shared lock for the WHOLE batch, including
   // the sample-fn calls, so remove/remove_prefix (exclusive) cannot return
-  // while a sampler still runs a fn about to lose its captured object —
+  // while a reader still runs a fn about to lose its captured object —
   // ~thread_manager relies on this to make unregister_counters() a barrier
-  // against the background telemetry/sampler threads. Samplers stay
-  // concurrent with each other; registration is the only writer and is rare.
+  // against the background telemetry thread. Readers stay concurrent with
+  // each other; registration is the only writer and is rare.
   // Sample fns must not call back into the registry's mutating API.
   mutable std::shared_mutex mutex_;
   std::map<std::string, entry> counters_;
-  std::uint64_t generation_ = 0;  // guarded by mutex_
 };
 
 }  // namespace gran::perf

@@ -60,25 +60,18 @@ histogram_registry& histogram_registry::instance() {
 void histogram_registry::add(const std::string& name, snap_fn fn) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   sources_[name] = std::move(fn);
-  ++generation_;
 }
 
 bool histogram_registry::remove(const std::string& name) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
-  const bool erased = sources_.erase(name) != 0;
-  if (erased) ++generation_;
-  return erased;
+  return sources_.erase(name) != 0;
 }
 
 void histogram_registry::remove_prefix(const std::string& prefix) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   auto it = sources_.lower_bound(prefix);
-  bool any = false;
-  while (it != sources_.end() && it->first.rfind(prefix, 0) == 0) {
+  while (it != sources_.end() && it->first.rfind(prefix, 0) == 0)
     it = sources_.erase(it);
-    any = true;
-  }
-  if (any) ++generation_;
 }
 
 std::vector<std::pair<std::string, histogram_snapshot>> histogram_registry::snap_all(
@@ -102,15 +95,9 @@ std::vector<std::string> histogram_registry::list(const std::string& prefix) con
   return out;
 }
 
-std::uint64_t histogram_registry::generation() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return generation_;
-}
-
 void histogram_registry::clear() {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   sources_.clear();
-  ++generation_;
 }
 
 histogram_snapshot log2_histogram::snap() const {

@@ -76,10 +76,6 @@ class histogram_registry {
 
   std::vector<std::string> list(const std::string& prefix = "/") const;
 
-  // Bumped whenever the source set changes (same contract as
-  // registry::generation()).
-  std::uint64_t generation() const;
-
   void clear();  // tests
 
  private:
@@ -90,7 +86,6 @@ class histogram_registry {
   // back into the mutating API.
   mutable std::shared_mutex mutex_;
   std::map<std::string, snap_fn> sources_;
-  std::uint64_t generation_ = 0;
 };
 
 class log2_histogram {

@@ -1,7 +1,8 @@
 #include "perf/observability.hpp"
 
+#include <cstdio>
+#include <cstdlib>
 #include <iostream>
-#include <sstream>
 
 #include "perf/pmu.hpp"
 #include "perf/trace.hpp"
@@ -11,18 +12,22 @@ namespace gran::perf {
 
 namespace {
 
-std::vector<std::string> split_prefixes(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
+// The CSV sampler these knobs drove is gone. cli_args ignores unknown flags,
+// so without this check a stale script would run and write no time series.
+[[noreturn]] void removed_knob(const std::string& knob) {
+  std::fprintf(stderr,
+               "error: %s was removed with the CSV sampler; the counter time "
+               "series is the JSONL window stream (--metrics-out / "
+               "GRAN_METRICS)\n",
+               knob.c_str());
+  std::exit(2);
 }
 
 }  // namespace
 
 observability_session::options observability_session::options_from_env() {
+  for (const char* knob : {"GRAN_SAMPLE_US", "GRAN_SAMPLE_OUT", "GRAN_SAMPLE_SET"})
+    if (std::getenv(knob) != nullptr) removed_knob(knob);
   options o;
   const std::string trace = env_string("GRAN_TRACE", "");
   if (!trace.empty())
@@ -31,38 +36,27 @@ observability_session::options observability_session::options_from_env() {
   if (!bin.empty())
     o.trace_bin = (bin == "1" || bin == "true") ? "gran_trace.bin" : bin;
   o.trace_buf_events = static_cast<std::size_t>(env_int("GRAN_TRACE_BUF", 0));
-  o.sample_interval_us = static_cast<std::uint64_t>(env_int("GRAN_SAMPLE_US", 0));
-  o.sample_out = env_string("GRAN_SAMPLE_OUT", "");
-  const std::string set = env_string("GRAN_SAMPLE_SET", "");
-  if (!set.empty()) o.sample_prefixes = split_prefixes(set);
-  o.metrics_out = env_string("GRAN_METRICS", "");
-  o.metrics_prom = env_string("GRAN_METRICS_PROM", "");
-  o.metrics_interval_us = env_int("GRAN_METRICS_US", 0);
-  o.flight_prefix = env_string("GRAN_FLIGHT", "");
-  if (o.flight_prefix == "1" || o.flight_prefix == "true")
-    o.flight_prefix = "gran_flight";
-  o.stall_ns = env_int("GRAN_STALL_NS", 0);
+  o.telemetry = telemetry_options_from_env();
   o.pmu = env_string("GRAN_PMU", "");
   return o;
 }
 
 observability_session::options observability_session::options_from_cli(
     const cli_args& args, options base) {
+  for (const char* flag : {"sample-interval-us", "sample-out", "sample-set"})
+    if (args.has(flag)) removed_knob(std::string("--") + flag);
   base.trace_out = args.get("trace-out", base.trace_out);
   base.trace_bin = args.get("trace-bin", base.trace_bin);
   base.trace_buf_events = static_cast<std::size_t>(
       args.get_int("trace-buf", static_cast<std::int64_t>(base.trace_buf_events)));
-  base.sample_interval_us = static_cast<std::uint64_t>(args.get_int(
-      "sample-interval-us", static_cast<std::int64_t>(base.sample_interval_us)));
-  base.sample_out = args.get("sample-out", base.sample_out);
-  const std::string set = args.get("sample-set", "");
-  if (!set.empty()) base.sample_prefixes = split_prefixes(set);
-  base.metrics_out = args.get("metrics-out", base.metrics_out);
-  base.metrics_prom = args.get("metrics-prom", base.metrics_prom);
-  base.metrics_interval_us =
-      args.get_int("metrics-interval-us", base.metrics_interval_us);
-  base.flight_prefix = args.get("flight-prefix", base.flight_prefix);
-  base.stall_ns = args.get_int("stall-ns", base.stall_ns);
+  telemetry_options& t = base.telemetry;
+  t.jsonl_out = args.get("metrics-out", t.jsonl_out);
+  t.prom_out = args.get("metrics-prom", t.prom_out);
+  const std::int64_t us = args.get_int("metrics-interval-us", 0);
+  if (us > 0) t.interval_us = us;
+  t.flight_prefix = args.get("flight-prefix", t.flight_prefix);
+  const std::int64_t stall = args.get_int("stall-ns", 0);
+  if (stall > 0) t.watchdog.stuck_ns = stall;
   base.pmu = args.get("pmu", base.pmu);
   return base;
 }
@@ -77,21 +71,8 @@ observability_session::observability_session(options opt) : opt_(std::move(opt))
     t.enable(opt_.trace_buf_events);
     t.set_export_path(opt_.trace_out);
   }
-  if (opt_.sample_interval_us > 0) {
-    if (opt_.sample_out.empty()) opt_.sample_out = "gran_samples.csv";
-    sampler_options so;
-    so.prefixes = opt_.sample_prefixes;
-    so.interval_us = opt_.sample_interval_us;
-    sampler_ = std::make_unique<sampler_thread>(std::move(so));
-  }
-  telemetry_options to;
-  to.jsonl_out = opt_.metrics_out;
-  to.prom_out = opt_.metrics_prom;
-  if (opt_.metrics_interval_us > 0) to.interval_us = opt_.metrics_interval_us;
-  to.flight_prefix = opt_.flight_prefix;
-  if (opt_.stall_ns > 0) to.watchdog.stuck_ns = opt_.stall_ns;
-  if (to.enabled())
-    telemetry_ = std::make_unique<telemetry_session>(std::move(to));
+  if (opt_.telemetry.enabled())
+    telemetry_ = std::make_unique<telemetry_session>(opt_.telemetry);
 }
 
 observability_session::~observability_session() { finish(); }
@@ -101,22 +82,16 @@ void observability_session::finish() {
   finished_ = true;
   if (telemetry_) {
     telemetry_->stop();
-    if (!opt_.metrics_out.empty())
+    const telemetry_options& t = opt_.telemetry;
+    if (!t.jsonl_out.empty())
       std::cout << "(telemetry: " << telemetry_->windows_exported()
-                << " windows streamed to " << opt_.metrics_out << ")\n";
-    if (!opt_.metrics_prom.empty())
-      std::cout << "(telemetry: Prometheus exposition in " << opt_.metrics_prom
-                << ")\n";
+                << " windows streamed to " << t.jsonl_out << ")\n";
+    if (!t.prom_out.empty())
+      std::cout << "(telemetry: Prometheus exposition in " << t.prom_out << ")\n";
     if (telemetry_->incidents_raised() > 0)
       std::cout << "(watchdog: " << telemetry_->incidents_raised()
                 << " stall incident(s); last flight dump: "
                 << telemetry_->last_flight_path() << ")\n";
-  }
-  if (sampler_) {
-    sampler_->stop();
-    if (sampler_->dump_file(opt_.sample_out))
-      std::cout << "(counter time series: " << sampler_->samples_taken()
-                << " samples written to " << opt_.sample_out << ")\n";
   }
   if (!opt_.trace_out.empty()) {
     // The thread manager also exports at stop(); this final export includes

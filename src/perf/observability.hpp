@@ -1,22 +1,20 @@
-// One-stop wiring of the observability features (trace export + background
-// counter sampling) for tools and benches.
+// One-stop wiring of the observability features (trace export + live
+// telemetry) for tools and benches.
 //
 // An observability_session is an RAII object created at the top of main():
-// it enables tracing and/or starts the sampler according to CLI flags and
-// environment knobs, and on destruction stops the sampler, dumps the time
-// series, and exports the trace.
+// it enables tracing and/or starts the telemetry session according to CLI
+// flags and environment knobs, and on destruction stops the telemetry and
+// exports the trace.
 //
 //   CLI flags                     env fallback        effect
 //   --trace-out=PATH              GRAN_TRACE          Chrome/Perfetto JSON
 //   --trace-bin=PATH              GRAN_TRACE_BIN      binary dump for
 //                                                     gran_trace_report
 //   --trace-buf=N                 GRAN_TRACE_BUF      ring capacity (events)
-//   --sample-interval-us=N        GRAN_SAMPLE_US      sampler period; >0 on
-//   --sample-out=PATH             GRAN_SAMPLE_OUT     .csv or .json series
-//   --sample-set=P1,P2            GRAN_SAMPLE_SET     counter prefixes
 //   --metrics-out=DEST            GRAN_METRICS        live JSONL window
 //                                                     stream (file, FIFO, or
-//                                                     tcp://host:port) —
+//                                                     tcp://host:port) — the
+//                                                     counter time series;
 //                                                     tools/gran_top tails it
 //   --metrics-prom=PATH           GRAN_METRICS_PROM   Prometheus textfile,
 //                                                     rewritten per window
@@ -30,14 +28,16 @@
 //                                                     counters: off (default),
 //                                                     1/on = probe hardware,
 //                                                     sw/software = timers only
+//
+// The flags and variables of the removed CSV sampler (--sample-* and
+// GRAN_SAMPLE_*) exit with a pointer to --metrics-out / GRAN_METRICS rather
+// than being silently ignored.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "perf/sampler_thread.hpp"
 #include "perf/telemetry.hpp"
 #include "util/cli.hpp"
 
@@ -49,18 +49,11 @@ class observability_session {
     std::string trace_out;                  // Chrome JSON path; empty = none
     std::string trace_bin;                  // binary dump path; empty = none
     std::size_t trace_buf_events = 0;       // 0 = default / GRAN_TRACE_BUF
-    std::uint64_t sample_interval_us = 0;   // 0 = sampler off
-    std::string sample_out;                 // default gran_samples.csv
-    std::vector<std::string> sample_prefixes{"/threads"};
-    std::string metrics_out;                // JSONL stream; empty = off
-    std::string metrics_prom;               // Prometheus textfile; empty = off
-    std::int64_t metrics_interval_us = 0;   // 0 = default (100 ms)
-    std::string flight_prefix;              // flight recorder; empty = off
-    std::int64_t stall_ns = 0;              // 0 = default stuck threshold
+    telemetry_options telemetry;            // off until a destination is set
     std::string pmu;                        // PMU plane spec; empty = leave as-is
   };
 
-  // Environment-only defaults (GRAN_TRACE, GRAN_SAMPLE_US, ...).
+  // Environment-only defaults (GRAN_TRACE, GRAN_METRICS, ...).
   static options options_from_env();
   // CLI flags layered over `base` (typically options_from_env()).
   static options options_from_cli(const cli_args& args, options base);
@@ -71,21 +64,18 @@ class observability_session {
   observability_session(const observability_session&) = delete;
   observability_session& operator=(const observability_session&) = delete;
 
-  // Stops the sampler, dumps the series, exports the trace. Idempotent;
-  // prints one status line per artifact written.
+  // Stops the telemetry session and exports the trace. Idempotent; prints
+  // one status line per artifact written.
   void finish();
 
   bool tracing() const {
     return !opt_.trace_out.empty() || !opt_.trace_bin.empty();
   }
-  bool sampling() const { return sampler_ != nullptr; }
-  const sampler_thread* sampler() const { return sampler_.get(); }
   bool telemetry() const { return telemetry_ != nullptr; }
   telemetry_session* telemetry_ptr() { return telemetry_.get(); }
 
  private:
   options opt_;
-  std::unique_ptr<sampler_thread> sampler_;
   std::unique_ptr<telemetry_session> telemetry_;
   bool finished_ = false;
 };

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "perf/counters.hpp"
-#include "perf/sampler.hpp"
 
 namespace gran::perf {
 
@@ -15,9 +14,5 @@ void dump_csv(std::ostream& os, const std::string& prefix = "/");
 
 // Writes an aligned human-readable table (value + description).
 void dump_table(std::ostream& os, const std::string& prefix = "/");
-
-// Writes the monotonic deltas / gauge end-values of an interval as CSV.
-void dump_interval_csv(std::ostream& os, const interval& delta,
-                       const snapshot& reference);
 
 }  // namespace gran::perf

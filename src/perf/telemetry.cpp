@@ -77,20 +77,25 @@ telemetry_session::~telemetry_session() {
   g_active_sessions.fetch_sub(1, std::memory_order_relaxed);
 }
 
+telemetry_options telemetry_options_from_env() {
+  telemetry_options to;
+  to.jsonl_out = env_string("GRAN_METRICS", "");
+  to.prom_out = env_string("GRAN_METRICS_PROM", "");
+  const std::int64_t us = env_int("GRAN_METRICS_US", 0);
+  if (us > 0) to.interval_us = us;
+  to.flight_prefix = env_string("GRAN_FLIGHT", "");
+  if (to.flight_prefix == "1" || to.flight_prefix == "true")
+    to.flight_prefix = "gran_flight";
+  const std::int64_t stall = env_int("GRAN_STALL_NS", 0);
+  if (stall > 0) to.watchdog.stuck_ns = stall;
+  return to;
+}
+
 void telemetry_autostart_from_env() {
   static std::once_flag flag;
   std::call_once(flag, [] {
     if (g_active_sessions.load(std::memory_order_relaxed) > 0) return;
-    telemetry_options to;
-    to.jsonl_out = env_string("GRAN_METRICS", "");
-    to.prom_out = env_string("GRAN_METRICS_PROM", "");
-    const std::int64_t us = env_int("GRAN_METRICS_US", 0);
-    if (us > 0) to.interval_us = us;
-    to.flight_prefix = env_string("GRAN_FLIGHT", "");
-    if (to.flight_prefix == "1" || to.flight_prefix == "true")
-      to.flight_prefix = "gran_flight";
-    const std::int64_t stall = env_int("GRAN_STALL_NS", 0);
-    if (stall > 0) to.watchdog.stuck_ns = stall;
+    telemetry_options to = telemetry_options_from_env();
     if (!to.enabled()) return;
     // Touch the singletons the session's thread uses so they are
     // constructed first and therefore destroyed after the session at exit.

@@ -57,9 +57,15 @@ struct telemetry_options {
   }
 };
 
-// Starts a process-lifetime telemetry session from the GRAN_METRICS /
-// GRAN_METRICS_PROM / GRAN_METRICS_US / GRAN_FLIGHT / GRAN_STALL_NS
-// environment variables, the same way GRAN_TRACE arms the tracer: the
+// Telemetry options from the environment — the one place these knobs are
+// parsed: GRAN_METRICS (JSONL destination), GRAN_METRICS_PROM, GRAN_METRICS_US
+// (window length), GRAN_FLIGHT (flight-recorder prefix; 1/true means
+// "gran_flight") and GRAN_STALL_NS (watchdog stuck-task threshold). Unset or
+// non-positive numeric knobs keep the defaults.
+telemetry_options telemetry_options_from_env();
+
+// Starts a process-lifetime telemetry session from
+// telemetry_options_from_env(), the same way GRAN_TRACE arms the tracer: the
 // thread manager calls this from its constructor, so ANY gran program —
 // not just the benches and tools that own an observability_session —
 // honors the env knobs. No-op when the variables are unset, when a

@@ -17,6 +17,10 @@
 //     duration percentiles) assembled from the per-worker counter
 //     instances.
 //
+// This is the runtime's one interval engine: the paper's metrics "over any
+// interval of interest" (§II-A) are a window's fields, and the JSONL stream
+// of windows (--metrics-out / GRAN_METRICS) is the counter time series.
+//
 // tick() is cheap enough to run from a background thread at 10–100 ms
 // periods (one registry lock per prefix, sample lambdas unlocked); the
 // streaming exporter (perf/exporter.hpp) serializes the snapshots.
@@ -34,8 +38,8 @@ namespace gran::perf {
 
 struct window_options {
   // Counter-path prefixes included in the window (registry + histogram
-  // sources). Unlike the sampler's frozen column set, the set is re-resolved
-  // every tick, so late-registered counters join automatically. /service is
+  // sources). The set is re-resolved every tick, so late-registered counters
+  // join automatically. /service is
   // included by default so a task_service (service/service.hpp) surfaces in
   // the stream the moment it registers; when none exists the prefix simply
   // matches nothing.

@@ -311,7 +311,10 @@ task* current() noexcept;
 void yield();
 
 // Suspends the current task until someone calls thread_manager::wake on it.
-// The caller must have arranged for that wake (sync primitives do). See
+// The caller must have arranged for that wake (sync primitives do). A wake
+// that lands before this call, while the task is still active, is lost and
+// the task sleeps forever: a task that publishes itself to a waker must use
+// prepare_suspend(); publish; commit_suspend(); instead. See
 // task::cancel_suspend for the full race-free protocol.
 void suspend();
 

@@ -39,16 +39,7 @@ TEST(Chunking, AutoTargetsTasksPerWorker) {
   EXPECT_GE(resolve_chunk(auto_chunk{4}, 3, 8), 1u);
 }
 
-TEST(Chunking, AdaptiveResolvesToInitial) {
-  EXPECT_EQ(resolve_chunk(adaptive_chunk{.initial = 64}, 1'000'000, 4), 64u);
-}
-
 // --- parallel_for ----------------------------------------------------------------
-
-struct ForPolicyCase {
-  chunking policy;
-  const char* name;
-};
 
 class ParallelForPolicies : public ::testing::TestWithParam<int> {};
 
@@ -58,7 +49,7 @@ TEST_P(ParallelForPolicies, TouchesEveryIndexOnce) {
   switch (GetParam()) {
     case 0: policy = static_chunk{7}; break;
     case 1: policy = auto_chunk{}; break;
-    default: policy = adaptive_chunk{.initial = 8}; break;
+    default: policy = lazy_chunk{}; break;
   }
   constexpr std::size_t n = 10'000;
   std::vector<std::atomic<int>> hits(n);
@@ -70,7 +61,7 @@ std::string policy_case_name(const ::testing::TestParamInfo<int>& info) {
   switch (info.param) {
     case 0: return "static";
     case 1: return "auto";
-    default: return "adaptive";
+    default: return "lazy";
   }
 }
 
@@ -123,15 +114,6 @@ TEST(ParallelFor, SingleItem) {
     ++hits;
   });
   EXPECT_EQ(hits.load(), 1);
-}
-
-TEST(ParallelFor, AdaptiveLargeRange) {
-  thread_manager tm(test_config(4));
-  constexpr std::size_t n = 100'000;
-  std::atomic<long> sum{0};
-  parallel_for(tm, 0, n, [&](std::size_t i) { sum += static_cast<long>(i); },
-               adaptive_chunk{.initial = 4});
-  EXPECT_EQ(sum.load(), static_cast<long>(n - 1) * n / 2);
 }
 
 // --- parallel_reduce ---------------------------------------------------------------

@@ -108,8 +108,9 @@ TEST(Integration, TwoManagersCoexist) {
   std::atomic<task*> waiter{nullptr};
   std::atomic<bool> woken{false};
   a.spawn([&] {
+    this_task::prepare_suspend();
     waiter.store(this_task::current());
-    this_task::suspend();
+    this_task::commit_suspend();
     woken = true;
   });
   while (!waiter.load()) {
@@ -209,9 +210,12 @@ TEST(Integration, SuspendWakeProtocolHammer) {
         rounds_done.fetch_add(1, std::memory_order_relaxed);
       }
       slots[i].store(nullptr, std::memory_order_release);
+      // Announce before publishing, so main's final wake cannot land while
+      // this task is still active and be lost.
+      this_task::prepare_suspend();
       final_slots[i] = this_task::current();
       rounds_finished.fetch_add(1, std::memory_order_acq_rel);
-      this_task::suspend();  // woken by the rogue waker or by main below
+      this_task::commit_suspend();  // woken by the rogue waker or by main below
       while (!gate.load(std::memory_order_acquire)) this_task::yield();
     });
 

@@ -1,6 +1,6 @@
-// Tests for the live telemetry plane: windowed aggregation, the streaming
-// exporters, the stall watchdog, the flight recorder, and the sampler's
-// late-registration handling.
+// Tests for the live telemetry plane: windowed aggregation (the runtime's
+// interval engine), the streaming exporters, the stall watchdog, and the
+// flight recorder.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -25,7 +24,6 @@
 #include "perf/exporter.hpp"
 #include "perf/heartbeat.hpp"
 #include "perf/histogram.hpp"
-#include "perf/sampler_thread.hpp"
 #include "perf/telemetry.hpp"
 #include "perf/trace.hpp"
 #include "perf/watchdog.hpp"
@@ -81,13 +79,17 @@ window_snapshot make_window(
 TEST(WindowAggregator, DeltasAndRatesForMonotonicCounters) {
   auto& reg = registry::instance();
   std::atomic<double> v{100};
+  std::atomic<double> gauge{7};
   reg.add("/wintest/count/events", counter_kind::monotonic, "test",
           [&v] { return v.load(); });
+  reg.add("/wintest/level", counter_kind::gauge, "test",
+          [&gauge] { return gauge.load(); });
   window_options opt;
   opt.prefixes = {"/wintest"};
   window_aggregator agg(opt);
 
   v = 160;
+  gauge = 9;
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   window_snapshot w = agg.tick();
   ASSERT_NE(w.find("/wintest/count/events"), nullptr);
@@ -96,6 +98,11 @@ TEST(WindowAggregator, DeltasAndRatesForMonotonicCounters) {
   EXPECT_DOUBLE_EQ(w.value_or("/wintest/count/events", -1), 160.0);
   EXPECT_EQ(w.seq, 1u);
   EXPECT_GT(w.dt_s, 0.0);
+  // A gauge reports its end value, the raw difference as its delta, and no
+  // rate.
+  EXPECT_DOUBLE_EQ(w.value_or("/wintest/level", -1), 9.0);
+  EXPECT_DOUBLE_EQ(w.delta_or("/wintest/level", -1), 2.0);
+  EXPECT_DOUBLE_EQ(w.rate_or("/wintest/level", -1), 0.0);
 
   // Second window sees only the new increment.
   v = 170;
@@ -637,41 +644,6 @@ TEST(Telemetry, FlightDumpRoundTripsThroughAnalyzer) {
   tracer::instance().disable();
   tracer::instance().clear();
   std::remove(to.jsonl_out.c_str());
-}
-
-// --- sampler late registration (regression) --------------------------------
-
-TEST(SamplerThread, LateRegisteredCounterGetsColumn) {
-  auto& reg = registry::instance();
-  reg.add("/latetest/a", counter_kind::gauge, "test", [] { return 1.0; });
-
-  sampler_options so;
-  so.prefixes = {"/latetest"};
-  so.interval_us = 2000;
-  sampler_thread sampler(so);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  // Register a second counter while the sampler is running: it must join
-  // the column set instead of being silently dropped (the old behavior froze
-  // the columns at the first tick).
-  reg.add("/latetest/b", counter_kind::gauge, "test", [] { return 2.0; });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  sampler.stop();
-
-  const auto columns = sampler.columns();
-  ASSERT_EQ(columns.size(), 2u);
-  EXPECT_EQ(columns[0], "/latetest/a");
-  EXPECT_EQ(columns[1], "/latetest/b");
-
-  const auto rows = sampler.series();
-  ASSERT_GT(rows.size(), 2u);
-  for (const auto& r : rows) ASSERT_EQ(r.values.size(), 2u);
-  // Early rows predate /latetest/b: NaN-padded, never mis-aligned.
-  EXPECT_TRUE(std::isnan(rows.front().values[1]));
-  EXPECT_DOUBLE_EQ(rows.front().values[0], 1.0);
-  EXPECT_DOUBLE_EQ(rows.back().values[1], 2.0);
-
-  reg.remove_prefix("/latetest");
 }
 
 }  // namespace

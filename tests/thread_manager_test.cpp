@@ -72,13 +72,16 @@ TEST(ThreadManager, SuspendAndExternalWake) {
   std::atomic<task*> self{nullptr};
   std::atomic<bool> resumed{false};
   tm.spawn([&] {
+    // Announce the suspension before publishing: a wake that lands while
+    // the task is still active would otherwise be lost.
+    this_task::prepare_suspend();
     self.store(this_task::current());
-    this_task::suspend();
+    this_task::commit_suspend();
     resumed.store(true);
   });
   while (self.load() == nullptr) {
   }
-  tm.wake(self.load());  // protocol handles any interleaving
+  tm.wake(self.load());
   tm.wait_idle();
   EXPECT_TRUE(resumed.load());
 }
@@ -136,6 +139,15 @@ TEST(ThreadManager, LowPriorityRunsLast) {
   thread_manager tm(test_config(1));
   std::vector<int> order;
   gran::latch done(3);
+  // Hold the worker until all three are queued, or it may run the low task
+  // before the normal ones arrive.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  tm.spawn([&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
   tm.spawn(
       [&] {
         order.push_back(0);  // low
@@ -154,6 +166,7 @@ TEST(ThreadManager, LowPriorityRunsLast) {
         done.count_down();
       },
       task_priority::normal);
+  release.store(true);
   done.wait();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order.back(), 0) << "low-priority task must run after normal ones";
@@ -175,8 +188,9 @@ TEST_P(PolicyParam, SuspendWakeUnderEachPolicy) {
   std::atomic<task*> self{nullptr};
   std::atomic<bool> resumed{false};
   tm.spawn([&] {
+    this_task::prepare_suspend();
     self.store(this_task::current());
-    this_task::suspend();
+    this_task::commit_suspend();
     resumed = true;
   });
   while (!self.load()) {
@@ -212,6 +226,9 @@ TEST(ThreadManager, ResetCountersZeroes) {
   thread_manager tm(test_config(2));
   for (int i = 0; i < 50; ++i) tm.spawn([] {});
   tm.wait_idle();
+  // Idle workers keep probing their queues (and counting the accesses)
+  // until they are stopped.
+  tm.stop();
   tm.reset_counters();
   const auto totals = tm.counter_totals();
   EXPECT_EQ(totals.tasks_executed, 0u);
@@ -418,16 +435,22 @@ TEST(ThreadManager, GranWorkersEnvDefault) {
 TEST(ThreadManager, InstantaneousQueueGauges) {
   thread_manager tm(test_config(1));
   auto& reg = perf::registry::instance();
-  // Block the single worker, then queue work and observe the gauges.
-  gran::latch gate(1);
-  tm.spawn([&gate] { gate.wait(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Block the single worker, then queue work and observe the gauges. The
+  // blocker spins on an OS-level yield: a cooperative wait would suspend the
+  // task and free the worker to drain the queue under the test's feet.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  tm.spawn([&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
   for (int i = 0; i < 10; ++i) tm.spawn([] {});
   const double queued =
       reg.value_or("/threads/count/instantaneous/pending", 0) +
       reg.value_or("/threads/count/instantaneous/staged", 0);
   EXPECT_GE(queued, 10.0);
-  gate.count_down();
+  release.store(true);
   tm.wait_idle();
   EXPECT_EQ(reg.value_or("/threads/count/instantaneous/alive", -1), 0.0);
 }

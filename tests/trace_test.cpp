@@ -1,11 +1,10 @@
 // Tests for the observability stack: trace rings + Chrome JSON export
 // (src/perf/trace.*), log2 histograms (src/perf/histogram.*), and the
-// background counter sampler (src/perf/sampler_thread.*).
+// observability_session option parsing (src/perf/observability.*).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -15,7 +14,6 @@
 #include "perf/counters.hpp"
 #include "perf/histogram.hpp"
 #include "perf/observability.hpp"
-#include "perf/sampler_thread.hpp"
 #include "perf/trace.hpp"
 #include "threads/thread_manager.hpp"
 
@@ -272,113 +270,47 @@ TEST_F(TraceTest, StealEventsCarryVictim) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);  // flow end
 }
 
-// --- sampler_thread ----------------------------------------------------------
-
-class SamplerTest : public ::testing::Test {
- protected:
-  void SetUp() override { perf::registry::instance().remove_prefix("/trtest"); }
-  void TearDown() override { perf::registry::instance().remove_prefix("/trtest"); }
-};
-
-TEST_F(SamplerTest, RecordsRowsAndDumps) {
-  auto& reg = perf::registry::instance();
-  std::atomic<double> v{1.0};
-  reg.add("/trtest/a", perf::counter_kind::gauge, "", [&v] { return v.load(); });
-  reg.add("/trtest/b", perf::counter_kind::monotonic, "", [] { return 5.0; });
-
-  perf::sampler_options opt;
-  opt.prefixes = {"/trtest"};
-  opt.interval_us = 500;
-  perf::sampler_thread sampler(opt);
-  while (sampler.samples_taken() < 5)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  v.store(2.0);
-  while (sampler.samples_taken() < 10)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sampler.stop();
-
-  const auto columns = sampler.columns();
-  ASSERT_EQ(columns.size(), 2u);
-  EXPECT_EQ(columns[0], "/trtest/a");
-  EXPECT_EQ(columns[1], "/trtest/b");
-
-  const auto series = sampler.series();
-  ASSERT_GE(series.size(), 10u);
-  for (const auto& row : series) ASSERT_EQ(row.values.size(), 2u);
-  EXPECT_EQ(series.front().values[0], 1.0);
-  EXPECT_EQ(series.back().values[0], 2.0);
-  EXPECT_EQ(series.back().values[1], 5.0);
-  EXPECT_LE(series.front().timestamp_ns, series.back().timestamp_ns);
-
-  std::ostringstream csv;
-  sampler.dump_csv(csv);
-  EXPECT_EQ(csv.str().rfind("time_ns,/trtest/a,/trtest/b\n", 0), 0u);
-  std::ostringstream json;
-  sampler.dump_json(json);
-  EXPECT_NE(json.str().find("\"/trtest/a\""), std::string::npos);
-  EXPECT_NE(json.str().find("\"rows\""), std::string::npos);
-}
-
-TEST_F(SamplerTest, VanishedCounterReadsNaN) {
-  auto& reg = perf::registry::instance();
-  reg.add("/trtest/gone", perf::counter_kind::gauge, "", [] { return 1.0; });
-  perf::sampler_options opt;
-  opt.prefixes = {"/trtest"};
-  opt.interval_us = 500;
-  perf::sampler_thread sampler(opt);
-  while (sampler.samples_taken() < 3)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  reg.remove("/trtest/gone");
-  const auto before = sampler.samples_taken();
-  while (sampler.samples_taken() < before + 3)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sampler.stop();
-
-  const auto series = sampler.series();
-  ASSERT_FALSE(series.empty());
-  EXPECT_EQ(series.front().values[0], 1.0);
-  EXPECT_TRUE(std::isnan(series.back().values[0]));
-  std::ostringstream csv;
-  sampler.dump_csv(csv);
-  EXPECT_NE(csv.str().find("nan"), std::string::npos);
-}
-
-TEST_F(SamplerTest, CapacityBoundsRetainedRows) {
-  auto& reg = perf::registry::instance();
-  reg.add("/trtest/x", perf::counter_kind::gauge, "", [] { return 0.0; });
-  perf::sampler_options opt;
-  opt.prefixes = {"/trtest"};
-  opt.interval_us = 200;
-  opt.capacity = 4;
-  perf::sampler_thread sampler(opt);
-  while (sampler.samples_taken() < 12)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sampler.stop();
-  EXPECT_LE(sampler.series().size(), 4u);
-  EXPECT_GT(sampler.samples_dropped(), 0u);
-}
-
 // --- observability_session options -------------------------------------------
 
 TEST(Observability, OptionsFromEnvAndCli) {
   ::setenv("GRAN_TRACE", "env.json", 1);
-  ::setenv("GRAN_SAMPLE_US", "250", 1);
+  ::setenv("GRAN_METRICS", "env.jsonl", 1);
+  ::setenv("GRAN_METRICS_US", "250", 1);
+  ::setenv("GRAN_FLIGHT", "1", 1);
   const auto env = perf::observability_session::options_from_env();
   EXPECT_EQ(env.trace_out, "env.json");
-  EXPECT_EQ(env.sample_interval_us, 250u);
-  ::unsetenv("GRAN_TRACE");
-  ::unsetenv("GRAN_SAMPLE_US");
+  EXPECT_EQ(env.telemetry.jsonl_out, "env.jsonl");
+  EXPECT_EQ(env.telemetry.interval_us, 250);
+  EXPECT_EQ(env.telemetry.flight_prefix, "gran_flight");
+  // The session and the thread manager's env autostart share one parse.
+  EXPECT_EQ(perf::telemetry_options_from_env().jsonl_out, "env.jsonl");
+  for (const char* k : {"GRAN_TRACE", "GRAN_METRICS", "GRAN_METRICS_US", "GRAN_FLIGHT"})
+    ::unsetenv(k);
 
-  const char* argv[] = {"prog", "--trace-out=cli.json", "--sample-interval-us=50",
-                        "--sample-out=s.json", "--sample-set=/threads,/trtest"};
+  const char* argv[] = {"prog", "--trace-out=cli.json", "--metrics-out=cli.jsonl",
+                        "--metrics-interval-us=50", "--stall-ns=7000"};
   const cli_args args(5, argv);
   const auto opt = perf::observability_session::options_from_cli(args, env);
   EXPECT_EQ(opt.trace_out, "cli.json");  // CLI beats env
-  EXPECT_EQ(opt.sample_interval_us, 50u);
-  EXPECT_EQ(opt.sample_out, "s.json");
-  ASSERT_EQ(opt.sample_prefixes.size(), 2u);
-  EXPECT_EQ(opt.sample_prefixes[0], "/threads");
-  EXPECT_EQ(opt.sample_prefixes[1], "/trtest");
+  EXPECT_EQ(opt.telemetry.jsonl_out, "cli.jsonl");
+  EXPECT_EQ(opt.telemetry.interval_us, 50);
+  EXPECT_EQ(opt.telemetry.watchdog.stuck_ns, 7000);
+  EXPECT_EQ(opt.telemetry.flight_prefix, "gran_flight");  // env kept
+}
+
+void options_from_sampler_env() {
+  ::setenv("GRAN_SAMPLE_OUT", "ts.csv", 1);
+  perf::observability_session::options_from_env();
+}
+
+TEST(Observability, RemovedSamplerKnobsFailLoudly) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* argv[] = {"prog", "--sample-interval-us=1000"};
+  const cli_args args(2, argv);
+  EXPECT_EXIT(perf::observability_session::options_from_cli(args, {}),
+              ::testing::ExitedWithCode(2), "--metrics-out / GRAN_METRICS");
+  EXPECT_EXIT(options_from_sampler_env(), ::testing::ExitedWithCode(2),
+              "GRAN_SAMPLE_OUT was removed");
 }
 
 }  // namespace

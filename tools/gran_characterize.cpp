@@ -24,6 +24,7 @@
 #include "perf/observability.hpp"
 #include "sim/graph_sim.hpp"
 #include "sim/sim_backend.hpp"
+#include "threads/policy.hpp"
 #include "topo/topology.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -43,7 +44,8 @@ void print_usage() {
       "  --min-partition=N  finest grain to test (default 250)\n"
       "  --per-decade=N     sweep resolution (default 3)\n"
       "  --threshold=F      idle-rate tolerance for the threshold rule (default 0.30)\n"
-      "  --policy=NAME      scheduling policy for native runs\n"
+      "  --policy=NAME      scheduling policy for native runs (default: GRAN_POLICY,\n"
+      "                     else priority-local-fifo)\n"
       "  --mode=sim         characterize a modeled platform instead\n"
       "  --platform=NAME    sim platform: sandy-bridge|ivy-bridge|haswell|xeon-phi\n"
       "  --csv=PREFIX       also write PREFIXcharacterize.csv\n"
@@ -56,12 +58,11 @@ void print_usage() {
       "  --kernel=NAME      busy_spin|memory_stream|dgemm_like\n"
       "  --grain-min=NS --grain-max=NS   grain axis bounds (ns)\n"
       "\n"
-      "observability (native mode; see docs/TRACING.md):\n"
+      "observability (native mode; see docs/TRACING.md, docs/TELEMETRY.md):\n"
       "  --trace-out=PATH         export a Chrome/Perfetto trace of the run\n"
       "  --trace-buf=N            per-worker trace ring capacity, events\n"
-      "  --sample-interval-us=N   background counter sampling period (>0 = on)\n"
-      "  --sample-out=PATH        time-series dump (.csv or .json)\n"
-      "  --sample-set=P1,P2       counter prefixes to sample (default /threads)\n";
+      "  --metrics-out=DEST       counter time series: one JSONL window per interval\n"
+      "  --metrics-interval-us=N  window length (default 100000)\n";
 }
 
 // Task-graph mode: characterize one dependence pattern by sweeping the
@@ -77,7 +78,7 @@ int run_graph_workload(const cli_args& args, graph::pattern kind) {
     backend = std::make_unique<sim::graph_sim_backend>(model);
   } else {
     backend = std::make_unique<core::native_graph_backend>(
-        args.get("policy", "priority-local-fifo"));
+        resolve_policy_name(args.get("policy", "")));
     default_workers = topology::host().num_cpus();
   }
 
@@ -189,7 +190,7 @@ int main(int argc, char** argv) {
     backend = std::move(sb);
   } else {
     backend = std::make_unique<core::native_backend>(
-        args.get("policy", "priority-local-fifo"));
+        resolve_policy_name(args.get("policy", "")));
     default_workers = topology::host().num_cpus();
     default_points = 1'000'000;
   }

@@ -30,6 +30,7 @@
 #include "perf/analysis.hpp"
 #include "perf/pmu.hpp"
 #include "perf/trace.hpp"
+#include "threads/policy.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/cli.hpp"
 
@@ -145,7 +146,7 @@ int run_in_process(const cli_args& args) {
 
   scheduler_config cfg;
   cfg.num_workers = workers;
-  cfg.policy = args.get("policy", "priority-local-fifo");
+  cfg.policy = resolve_policy_name(args.get("policy", ""));
 
   thread_manager::totals totals;
   graph::run_stats stats;
