@@ -14,17 +14,16 @@
 // land near the sweet spot *without being told the grain*.
 //
 //   $ ./ablation_adaptive --items=1000000 --samples=3 --mode=both
-//   $ ./ablation_adaptive --check --ratio=0.9 --json=results/BENCH_adaptive.json
+//   $ ./ablation_adaptive --check --ratio=0.9
 //
 // Flags: --items, --workers, --samples, --item-ns (target per-item cost),
 // --mode=native|sim|both, --kernel=busy_spin|memory_stream|both,
 // --sim-cores (simulated core count, independent of native --workers),
 // --sim-imbalance (per-task cost spread in the simulator), --platform,
-// --json=PATH, --check, --ratio.
+// --check, --ratio.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -52,7 +51,6 @@ struct cell {
   double items_per_s = 0.0;
   std::uint64_t tasks = 0;        // tasks actually executed (median run)
   std::uint64_t splits = 0;       // lazy only
-  std::uint64_t split_denied = 0; // lazy only
   double exec_s = 0.0;            // Σ t_exec across workers (native)
 };
 
@@ -191,7 +189,6 @@ int main(int argc, char** argv) {
           const auto after = tm.counter_totals();
           c.tasks = after.tasks_executed - before.tasks_executed;
           c.splits = after.tasks_split - before.tasks_split;
-          c.split_denied = after.splits_denied - before.splits_denied;
           c.exec_s = static_cast<double>(after.exec_ns - before.exec_ns) * 1e-9;
         }
 
@@ -248,7 +245,7 @@ int main(int argc, char** argv) {
         c.chunk = chunk;
         const auto r = sim::run_split_sim(c);
         cells.push_back({"sim", kname, "fixed", chunk, r.makespan_s,
-                         static_cast<double>(items) / r.makespan_s, r.tasks, 0, 0});
+                         static_cast<double>(items) / r.makespan_s, r.tasks, 0});
         if (r.makespan_s < g.best_fixed_s) {
           g.best_fixed_s = r.makespan_s;
           g.best_chunk = chunk;
@@ -260,7 +257,7 @@ int main(int argc, char** argv) {
         const auto r = sim::run_split_sim(c);
         cells.push_back({"sim", kname, "lazy", 0, r.makespan_s,
                          static_cast<double>(items) / r.makespan_s, r.tasks,
-                         r.splits, r.split_denied});
+                         r.splits});
         g.lazy_s = r.makespan_s;
       }
       g.lazy_vs_best = g.best_fixed_s / g.lazy_s;
@@ -289,39 +286,6 @@ int main(int argc, char** argv) {
               << " s; lazy " << format_number(g.lazy_s, 5) << " s ("
               << format_number(g.lazy_vs_best * 100, 1) << "% of best)\n";
     if (g.lazy_vs_best < ratio_gate) pass = false;
-  }
-
-  const std::string json = args.get("json", "");
-  if (!json.empty()) {
-    std::ofstream f(json);
-    f << "{\n  \"bench\": \"ablation_adaptive\",\n  \"items\": " << items
-      << ",\n  \"workers\": " << workers << ",\n  \"item_ns\": " << item_ns
-      << ",\n  \"samples\": " << samples << ",\n  \"sim_imbalance\": "
-      << sim_imbalance << ",\n  \"ratio_gate\": " << ratio_gate
-      << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto& c = cells[i];
-      f << "    {\"mode\": \"" << c.mode << "\", \"kernel\": \"" << c.kernel
-        << "\", \"strategy\": \"" << c.strategy << "\", \"chunk\": " << c.chunk
-        << ", \"time_med_s\": " << c.time_med_s
-        << ", \"items_per_s\": " << c.items_per_s << ", \"tasks\": " << c.tasks
-        << ", \"splits\": " << c.splits
-        << ", \"split_denied\": " << c.split_denied << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    f << "  ],\n  \"summary\": [\n";
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-      const auto& g = gates[i];
-      f << "    {\"mode\": \"" << g.mode << "\", \"kernel\": \"" << g.kernel
-        << "\", \"best_fixed_chunk\": " << g.best_chunk
-        << ", \"best_fixed_s\": " << g.best_fixed_s
-        << ", \"lazy_s\": " << g.lazy_s
-        << ", \"lazy_vs_best\": " << g.lazy_vs_best
-        << ", \"pass\": " << (g.lazy_vs_best >= ratio_gate ? "true" : "false")
-        << "}" << (i + 1 < gates.size() ? "," : "") << "\n";
-    }
-    f << "  ],\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
-    std::cout << "(json written to " << json << ")\n";
   }
 
   if (check && !pass) {

@@ -19,7 +19,7 @@
 //
 //   $ ./ablation_topology                  # full grid
 //   $ ./ablation_topology --quick          # CI smoke (seconds)
-//   $ ./ablation_topology --domains=2 --json=results/ablation_topology.json
+//   $ ./ablation_topology --domains=2
 //
 //   --pattern=NAME   graph pattern (default spread)   --width / --steps
 //   --grain-ns=F     target task duration (default 20000)
@@ -27,13 +27,11 @@
 //   --workers=N      worker threads (default: all CPUs)
 //   --domains=N      override NUMA domain count (default 0 = host)
 //   --window=N       construction window, rows (default 8)
-//   --json=PATH      machine-readable results
 //
 // Observability flags (--trace-out, --metrics-out, ...) are honored; see
 // docs/TRACING.md.
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -178,23 +176,5 @@ int main(int argc, char** argv) {
     std::cout << "\nmemory_stream speedup (flat / hier): "
               << format_number(flat_ms / hier_ms, 3) << "x\n";
 
-  const std::string json = args.get("json", "");
-  if (!json.empty()) {
-    std::ofstream f(json);
-    f << "{\n  \"bench\": \"ablation_topology\",\n  \"pattern\": \""
-      << graph::pattern_name(g.kind) << "\",\n  \"grain_ns\": " << grain_ns
-      << ",\n  \"samples\": " << samples << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto& c = cells[i];
-      f << "    {\"section\": \"" << c.section << "\", \"kernel\": \"" << c.kernel
-        << "\", \"variant\": \"" << c.variant
-        << "\", \"elapsed_med_s\": " << c.elapsed_med_s
-        << ", \"stolen\": " << c.stolen << ", \"stolen_local\": " << c.stolen_local
-        << ", \"stolen_remote\": " << c.stolen_remote << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    f << "  ]\n}\n";
-    std::cout << "(json written to " << json << ")\n";
-  }
   return 0;
 }

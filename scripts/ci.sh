@@ -8,10 +8,17 @@
 #   scripts/ci.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+trace_tmp=$(mktemp -d)
+trap 'rm -rf "$trace_tmp"' EXIT
 
 echo "=== ci: build ==="
 cmake -B build -S .
 cmake --build build -j
+
+echo "=== ci: configure without google-benchmark ==="
+# No target needs google-benchmark; the tree must configure with it absent.
+cmake -S . -B "$trace_tmp/nogb" -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON >/dev/null
+echo "configure without google-benchmark ok"
 
 echo "=== ci: ctest ==="
 (cd build && ctest --output-on-failure -j "$(nproc)" "$@")
@@ -38,8 +45,6 @@ echo "=== ci: trace-report smoke ==="
 # Trace a small graph_sweep into a binary dump, analyze it offline with
 # gran_trace_report, and check the report carries a critical-path line —
 # the analyzer's whole pipeline (emit -> dump -> load -> analyze) in one go.
-trace_tmp=$(mktemp -d)
-trap 'rm -rf "$trace_tmp"' EXIT
 ./build/bench/graph_sweep --pattern=stencil1d --width=8 --steps=6 \
     --grain-min=2000 --grain-max=2000 --samples=1 --workers=2 \
     --trace-bin="$trace_tmp/trace.bin" >/dev/null
@@ -107,7 +112,7 @@ echo "topology smoke: quick + GRAN_PIN={compact,scatter} ok"
 echo "=== ci: lazy-split smoke ==="
 # A quick Fig. 3-style grain sweep with the closed-loop splitter in the ring,
 # native and simulated. No throughput gate at CI sizes (the full gated run is
-# scripts/bench_adaptive_baseline.sh); this catches wiring regressions —
+# scripts/bench_gates.sh); this catches wiring regressions —
 # lazy_chunk must run to completion in both modes and the sim must split.
 ./build/bench/ablation_adaptive --items=100000 --samples=1 --mode=native \
     >/dev/null

@@ -41,8 +41,6 @@ run ablation_scheduler $FULL
 run ablation_steal_order $FULL
 ./build/bench/ablation_adaptive | tee results/ablation_adaptive.txt
 ./build/bench/micro_grain_sweep | tee results/micro_grain_sweep.txt
-./build/bench/micro_steal_throughput --json=results/BENCH_steal.json | tee results/micro_steal_throughput.txt
 ./build/bench/micro_grain_sweep --mode=sim --cores=28 | tee results/micro_grain_sweep_sim.txt
-./build/bench/micro_runtime | tee results/micro_runtime.txt
 
 echo "=== done; see results/ and EXPERIMENTS.md ==="

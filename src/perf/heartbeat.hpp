@@ -19,7 +19,7 @@
 //
 // Writers are the worker OS threads (one per slot); stamping is one or two
 // relaxed stores per scheduler round — cheap enough to stay always-on
-// (bench/micro_telemetry_overhead gates the total at 2%).
+// (bench/micro_observer_overhead gates the total at 2%).
 #pragma once
 
 #include <algorithm>

@@ -67,6 +67,10 @@ task_service::task_service(thread_manager& tm, service_config cfg)
 task_service::~task_service() {
   quiesce();
   shutdown();
+  // quiesce() waits for completions, not for the tasks that made them: a
+  // drainer can still be inside drain() and a request task inside
+  // note_completed(). Both touch this object until their last decrement.
+  while (live_tasks_.load(std::memory_order_acquire) != 0) std::this_thread::yield();
   if (counters_registered_) unregister_perf_counters();
 }
 
@@ -183,8 +187,13 @@ submit_status task_service::submit(task::body_fn body) {
 
 void task_service::arm_drainer(shard& s, int shard_index) {
   if (s.drainer_armed.exchange(true, std::memory_order_seq_cst)) return;
-  tm_.spawn([this, shard_index] { drain(shard_index); }, task_priority::normal,
-            "service-drain");
+  live_tasks_.fetch_add(1, std::memory_order_relaxed);
+  tm_.spawn(
+      [this, shard_index] {
+        drain(shard_index);
+        live_tasks_.fetch_sub(1, std::memory_order_release);
+      },
+      task_priority::normal, "service-drain");
 }
 
 void task_service::drain(int shard_index) {
@@ -215,6 +224,7 @@ void task_service::drain(int shard_index) {
 }
 
 void task_service::dispatch(request* r) {
+  live_tasks_.fetch_add(1, std::memory_order_relaxed);
   tm_.spawn(
       [this, r] {
         const std::uint64_t first = tsc_clock::now();
@@ -230,6 +240,7 @@ void task_service::dispatch(request* r) {
                                  : 0);
         delete r;
         note_completed();
+        live_tasks_.fetch_sub(1, std::memory_order_release);
       },
       task_priority::normal, "service-request");
 }

@@ -190,6 +190,10 @@ class task_service {
   std::mutex block_mutex_;
   std::condition_variable block_cv_;
 
+  // Drainer and request tasks spawned and not yet returned. Each task's
+  // last action is a release decrement; the destructor waits for zero.
+  alignas(cache_line_size) std::atomic<std::uint64_t> live_tasks_{0};
+
   perf::log2_histogram hist_sojourn_;
   perf::log2_histogram hist_queue_wait_;
   bool counters_registered_ = false;

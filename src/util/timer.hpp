@@ -7,8 +7,8 @@
 //  * stopwatch   — steady_clock convenience wrapper for coarse sections.
 //
 // The paper (§II, note) measures the overhead of invoking these timers and
-// finds it insignificant except for sub-4 µs tasks on one core; the
-// bench/micro_runtime binary reproduces that measurement.
+// finds it insignificant except for sub-4 µs tasks on one core; the timer
+// rows of bench/micro_observer_overhead reproduce that measurement.
 #pragma once
 
 #include <chrono>

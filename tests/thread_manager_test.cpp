@@ -389,13 +389,18 @@ TEST(ThreadManager, HighPriorityRunsBeforeQueuedNormal) {
   // priority task. The high-priority dual queue is searched first, so the
   // high task must run before the queued normal ones.
   thread_manager tm(test_config(1));
-  gran::latch gate_open(1);
   gran::latch all_done(4);
   std::vector<int> order;
+  // Hold the worker's OS thread until everything is queued. A gran::latch
+  // wait would suspend the task and free the worker to run the first
+  // normal task as soon as it is spawned.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
   tm.spawn([&] {
-    gate_open.wait();  // hold the single worker until everything is queued
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (!started.load()) std::this_thread::yield();
   for (int i = 0; i < 3; ++i)
     tm.spawn(
         [&order, &all_done, i] {
@@ -409,7 +414,7 @@ TEST(ThreadManager, HighPriorityRunsBeforeQueuedNormal) {
         all_done.count_down();
       },
       task_priority::high);
-  gate_open.count_down();
+  release.store(true);
   all_done.wait();
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order.front(), 100) << "high-priority task must run first";
