@@ -108,8 +108,7 @@ std::vector<std::uint64_t> sweep_chunks(std::uint64_t items, int workers) {
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  perf::observability_session obs(perf::observability_session::options_from_cli(
-      args, perf::observability_session::options_from_env()));
+  perf::observability_session obs(args);
 
   const auto items = static_cast<std::uint64_t>(args.get_int("items", 1'000'000));
   // Default to at most one worker per CPU: this is a throughput comparison,

@@ -28,8 +28,7 @@
 //   --domains=N      override NUMA domain count (default 0 = host)
 //   --window=N       construction window, rows (default 8)
 //
-// Observability flags (--trace-out, --metrics-out, ...) are honored; see
-// docs/TRACING.md.
+// The knob table's flags (README "Configuration") are honored.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -86,8 +85,7 @@ cell run_cell(const graph::graph_spec& g, const graph::kernel_spec& k,
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  perf::observability_session obs(perf::observability_session::options_from_cli(
-      args, perf::observability_session::options_from_env()));
+  perf::observability_session obs(args);
 
   const bool quick = args.has("quick");
 

@@ -26,7 +26,7 @@ struct subplot {
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  perf::observability_session obs(bench::observability_options(args));
+  perf::observability_session obs(args);
   const fig_options opt = parse_fig_options(args);
 
   const std::vector<subplot> subplots = {

@@ -14,7 +14,7 @@ using namespace gran::bench;
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  perf::observability_session obs(bench::observability_options(args));
+  perf::observability_session obs(args);
   fig_options opt = parse_fig_options(args);
   // The paper's Fig. 6 zooms into 10k..100k partitions.
   if (opt.min_partition == 0) opt.min_partition = 10'000;

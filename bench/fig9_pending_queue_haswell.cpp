@@ -18,7 +18,7 @@ using namespace gran::bench;
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  perf::observability_session obs(bench::observability_options(args));
+  perf::observability_session obs(args);
   const fig_options opt = parse_fig_options(args);
 
   std::cout << "Fig. 9: Pending Queue Accesses, Intel Haswell\n";

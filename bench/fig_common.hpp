@@ -14,12 +14,9 @@
 //   --csv=PREFIX            also write PREFIX<tag>.csv per series
 //   --quiet                 suppress progress lines
 //
-// plus the observability knobs (native mode; see docs/TRACING.md and
-// docs/TELEMETRY.md):
-//   --trace-out=PATH         export a Chrome/Perfetto trace of the run
-//   --trace-buf=N            per-worker trace ring capacity, events
-//   --metrics-out=DEST       counter time series: one JSONL window per interval
-//   --metrics-interval-us=N  window length (default 100000)
+// plus the knob table's flags (README "Configuration"): --policy for native
+// runs and the observability flags (--trace-out, --metrics-out, ...).
+// main() opens a perf::observability_session(args) before anything else.
 #pragma once
 
 #include <cstdio>
@@ -52,14 +49,6 @@ struct fig_options {
   std::string csv_prefix;
   bool select = false;                  // run the §IV selector claims
 };
-
-// Tracing/telemetry session for a bench main(): CLI flags layered over the
-// GRAN_TRACE / GRAN_METRICS env knobs. Construct it before the first
-// thread_manager; artifacts are written when it goes out of scope.
-inline perf::observability_session::options observability_options(const cli_args& args) {
-  return perf::observability_session::options_from_cli(
-      args, perf::observability_session::options_from_env());
-}
 
 inline fig_options parse_fig_options(const cli_args& args) {
   fig_options opt;

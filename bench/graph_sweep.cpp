@@ -23,8 +23,7 @@
 //                      lower and 4/decade)
 //   --samples=N        repetitions per grain (default 3)
 //   --workers=N        native worker threads (default: all CPUs)
-//   --policy=NAME      native scheduling policy (default: GRAN_POLICY env,
-//                      then priority-local-fifo)
+//   --policy=NAME      native scheduling policy (the GRAN_POLICY knob)
 //   --window=N         native construction window, rows (default 0 = none)
 //   --platform=NAME    sim platform (default haswell)  --cores=N (default: all)
 //   --csv=PREFIX       also write PREFIXgraph_sweep_<pattern>.csv
@@ -33,8 +32,7 @@
 //                      Eq. 1–3 recomputed from events) after the table;
 //                      see docs/ANALYSIS.md
 //
-// Observability flags (--trace-out, --trace-bin, --metrics-out, ...) are
-// honored in native mode; see docs/TRACING.md.
+// The knob table's flags (README "Configuration") are honored in native mode.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -45,11 +43,11 @@
 #include "graph/spec.hpp"
 #include "perf/analysis.hpp"
 #include "perf/observability.hpp"
-#include "threads/policy.hpp"
 #include "sim/graph_sim.hpp"
 #include "sim/machine_model.hpp"
 #include "topo/topology.hpp"
 #include "util/cli.hpp"
+#include "util/config.hpp"
 #include "util/table.hpp"
 
 using namespace gran;
@@ -127,8 +125,7 @@ int run_pattern(core::graph_backend& backend, graph::pattern kind,
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  perf::observability_session obs(perf::observability_session::options_from_cli(
-      args, perf::observability_session::options_from_env()));
+  perf::observability_session obs(args);
 
   const bool full = args.has("full");
   const bool sim_mode = args.get("mode", "native") == "sim";
@@ -136,8 +133,7 @@ int main(int argc, char** argv) {
   // --report needs events even when no export flag turned tracing on. Must
   // happen before the backend builds its first thread manager.
   if (report)
-    perf::tracer::instance().enable(
-        static_cast<std::size_t>(args.get_int("trace-buf", 0)));
+    perf::tracer::instance().enable(static_cast<std::size_t>(config::integer(config::trace_buf)));
 
   std::unique_ptr<core::graph_backend> backend;
   int cores;
@@ -148,11 +144,8 @@ int main(int argc, char** argv) {
   } else {
     cores = static_cast<int>(
         args.get_int("workers", topology::host().num_cpus()));
-    // Empty default: --policy wins, then GRAN_POLICY, then the paper's
-    // priority-local-fifo (resolved inside the thread manager).
     backend = std::make_unique<core::native_graph_backend>(
-        resolve_policy_name(args.get("policy", "")),
-        static_cast<std::size_t>(args.get_int("window", 0)));
+        "", static_cast<std::size_t>(args.get_int("window", 0)));
   }
 
   const std::string pattern = args.get("pattern", "stencil1d");

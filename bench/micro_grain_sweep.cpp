@@ -31,9 +31,7 @@
 #include "sim/graph_sim.hpp"
 #include "sim/sim_backend.hpp"
 #include "sync/latch.hpp"
-#include "threads/policy.hpp"
 #include "threads/thread_manager.hpp"
-#include "topo/topology.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -122,7 +120,6 @@ int run_native_independent(const cli_args& args) {
     for (int s = 0; s < samples; ++s) {
       scheduler_config cfg;
       cfg.num_workers = workers;
-      cfg.pin_workers = topology::host().num_cpus() >= workers;
       thread_manager tm(cfg);
       tm.reset_counters();
 
@@ -176,8 +173,7 @@ int run_graph_pattern(const cli_args& args, graph::pattern kind) {
     backend = std::make_unique<sim::graph_sim_backend>(model);
   } else {
     cores = static_cast<int>(args.get_int("workers", 0));
-    backend = std::make_unique<core::native_graph_backend>(
-        resolve_policy_name(args.get("policy", "")));
+    backend = std::make_unique<core::native_graph_backend>();
   }
 
   std::cout << "Micro grain sweep (" << backend->name() << "): " << total_us / 1e3
@@ -237,8 +233,7 @@ int run_graph_pattern(const cli_args& args, graph::pattern kind) {
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  perf::observability_session obs(perf::observability_session::options_from_cli(
-      args, perf::observability_session::options_from_env()));
+  perf::observability_session obs(args);
 
   const std::string workload = args.get("workload", "stencil1d");
   if (workload == "independent") {

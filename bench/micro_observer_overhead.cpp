@@ -35,6 +35,7 @@
 #include "perf/trace.hpp"
 #include "threads/thread_manager.hpp"
 #include "topo/affinity.hpp"
+#include "util/config.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -140,6 +141,7 @@ int main(int argc, char**) {
     std::cerr << "micro_observer_overhead takes no flags\n";
     return 2;
   }
+  std::cout << config::current().describe() << "\n";
   const int workers = std::max<int>(1, static_cast<int>(allowed_cpus().size()));
   auto& tracer = perf::tracer::instance();
   perf::pmu_plane::instance().configure("off");

@@ -18,9 +18,8 @@
 //   --grain=NS              fixed per-request demand, ns (default 20000)
 //   --grain-min=NS --grain-max=NS   log-uniform grain mix instead
 //   --clients=N             submitting client threads (default 2)
-//   --policy=block|reject|shed-oldest   admission policy (default block)
-//   --backlog=N             admission bound (default 4096)
-//   --shards=N              ingress shards (default: one per worker)
+//   --service-policy=P --backlog=N --shards=N   twins of GRAN_SERVICE_POLICY,
+//                           _BACKLOG and _SHARDS (README "Configuration")
 //   --workers=N             native worker threads (default 4)
 //   --cores=N               sim cores (default: --workers)
 //   --platform=NAME         sim machine model (default haswell)
@@ -28,9 +27,9 @@
 //   --sweep-grain=A,B,...   U-curve: run one cell per grain at fixed offered
 //                           load --util=F (rate = F × workers / grain)
 //
-// Plus the standard observability flags (--metrics-out, --metrics-prom,
-// ...): a service run streams the new interval.service section, which
-// gran_top renders and --check validates.
+// Plus the knob table's flags (README "Configuration"): --policy picks the
+// scheduler, and a service run with --metrics-out streams the
+// interval.service section, which gran_top renders and --check validates.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -57,9 +56,7 @@ struct cell_config {
   bool native = true;
   service::arrival_config arrival;
   double duration_s = 2.0;
-  service::admission_policy policy = service::admission_policy::block;
-  std::int64_t backlog_bound = 4096;
-  int shards = 0;
+  service::service_config service;  // the table's GRAN_SERVICE_* values
   int clients = 2;
   int workers = 4;        // native
   int cores = 4;          // sim
@@ -109,12 +106,7 @@ cell_result run_native_cell(const cell_config& cfg) {
   scfg.pin_workers = false;
   thread_manager tm(scfg);
 
-  service::service_config svc_cfg;
-  svc_cfg.policy = cfg.policy;
-  svc_cfg.backlog_bound = cfg.backlog_bound;
-  svc_cfg.shards = cfg.shards;
-  svc_cfg = service::service_config::from_env(svc_cfg);
-  service::task_service svc(tm, svc_cfg);
+  service::task_service svc(tm, cfg.service);
 
   stopwatch wall;
   const auto start = std::chrono::steady_clock::now();
@@ -167,8 +159,8 @@ cell_result run_sim_cell(const cell_config& cfg) {
   sc.cores = cfg.cores;
   sc.arrival = cfg.arrival;
   sc.duration_s = cfg.duration_s;
-  sc.policy = cfg.policy;
-  sc.backlog_bound = cfg.backlog_bound;
+  sc.policy = cfg.service.policy;
+  sc.backlog_bound = cfg.service.backlog_bound;
   const sim::service_sim_result res = sim::run_service_sim(sc);
 
   cell_result r;
@@ -203,7 +195,7 @@ void print_cell(const char* mode, const cell_config& cfg, const cell_result& r) 
   std::cout << "[" << mode << "] " << service::to_string(cfg.arrival.kind)
             << " rate=" << format_number(cfg.arrival.rate_per_s, 0)
             << "/s grain=" << grain.str()
-            << " policy=" << service::to_string(cfg.policy)
+            << " policy=" << service::to_string(cfg.service.policy)
             << ": offered=" << format_number(r.offered_per_s, 0)
             << "/s achieved=" << format_number(r.achieved_per_s, 0)
             << "/s rej=" << format_number(r.rejection_rate * 100.0, 2)
@@ -217,8 +209,7 @@ void print_cell(const char* mode, const cell_config& cfg, const cell_result& r) 
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  perf::observability_session obs(perf::observability_session::options_from_cli(
-      args, perf::observability_session::options_from_env()));
+  perf::observability_session obs(args);
 
   cell_config cfg;
   cfg.duration_s = args.get_double("duration", 2.0);
@@ -233,9 +224,6 @@ int main(int argc, char** argv) {
   cfg.arrival.grain_min_ns = args.get_double("grain-min", grain);
   cfg.arrival.grain_max_ns = args.get_double("grain-max", cfg.arrival.grain_min_ns);
   cfg.arrival.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.policy = service::policy_from_string(args.get("policy", "block"));
-  cfg.backlog_bound = args.get_int("backlog", 4096);
-  cfg.shards = static_cast<int>(args.get_int("shards", 0));
   cfg.clients = static_cast<int>(args.get_int("clients", 2));
   cfg.workers = static_cast<int>(args.get_int("workers", 4));
   cfg.cores = static_cast<int>(args.get_int("cores", cfg.workers));
@@ -257,7 +245,7 @@ int main(int argc, char** argv) {
     const double util = args.get_double("util", 0.5);
     std::cout << "service_load grain sweep: util=" << format_number(util, 2)
               << " duration=" << format_number(cfg.duration_s, 1) << "s policy="
-              << service::to_string(cfg.policy) << "\n";
+              << service::to_string(cfg.service.policy) << "\n";
     for (const std::int64_t g : sweep) {
       cell_config c = cfg;
       c.arrival.grain_min_ns = static_cast<double>(g);

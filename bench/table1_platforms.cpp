@@ -30,8 +30,7 @@ void add_platform(table_writer& t, const platform_spec& p) {
 
 int main(int argc, char** argv) {
   cli_args args(argc, argv);
-  perf::observability_session obs(perf::observability_session::options_from_cli(
-      args, perf::observability_session::options_from_env()));
+  perf::observability_session obs(args);
 
   table_writer table({"node", "processor", "clock", "microarchitecture", "SMT", "cores",
                       "NUMA", "cache/core", "shared cache", "RAM"});

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "async/gran.hpp"
-#include "topo/topology.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
 
   scheduler_config cfg;
   cfg.num_workers = static_cast<int>(args.get_int("workers", 0));
-  cfg.pin_workers = topology::host().num_cpus() >= cfg.num_workers;
   thread_manager tm(cfg);
 
   std::printf("2-D heat: %zux%zu grid, %zux%zu tiles (%zu tasks/step x %zu steps), %d workers\n",

@@ -32,7 +32,6 @@ int run_single(const cli_args& args) {
 
   scheduler_config cfg;
   cfg.num_workers = static_cast<int>(args.get_int("workers", 0));
-  cfg.pin_workers = topology::host().num_cpus() >= cfg.num_workers;
   thread_manager tm(cfg);
 
   std::printf("heat ring: %zu points, %zu per partition (%zu partitions), %zu steps, %d workers\n",

@@ -41,6 +41,23 @@ for pattern in trivial serial_chain stencil1d fft binary_tree nearest spread ran
 done
 echo "graph smoke: 8 patterns x {native,sim,native/channel-steal} ok"
 
+echo "=== ci: config smoke ==="
+# One knob table (src/util/config.hpp): a malformed value exits 2 naming the
+# knob and the value; a misspelt GRAN_* name warns once and the run goes on.
+status=0
+GRAN_WORKERS=four ./build/examples/heat_ring --points=20000 --partition=500 \
+    --steps=2 --workers=2 >/dev/null 2>"$trace_tmp/bad_knob.txt" || status=$?
+[[ $status -eq 2 ]] && grep -q "GRAN_WORKERS=four" "$trace_tmp/bad_knob.txt" \
+  || { echo "config smoke: GRAN_WORKERS=four gave exit $status" >&2; \
+       cat "$trace_tmp/bad_knob.txt" >&2; exit 1; }
+GRAN_POLCY=static-fifo ./build/bench/graph_sweep --pattern=stencil1d --width=8 \
+    --steps=4 --grain-min=1000 --grain-max=1000 --samples=1 --workers=2 \
+    >"$trace_tmp/typo.txt" 2>&1
+[[ $(grep -c "GRAN_POLCY" "$trace_tmp/typo.txt") -eq 1 ]] \
+  || { echo "config smoke: want one GRAN_POLCY warning" >&2; \
+       cat "$trace_tmp/typo.txt" >&2; exit 1; }
+echo "config smoke: malformed value exits 2, unknown name warns once"
+
 echo "=== ci: trace-report smoke ==="
 # Trace a small graph_sweep into a binary dump, analyze it offline with
 # gran_trace_report, and check the report carries a critical-path line —

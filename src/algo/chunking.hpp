@@ -30,9 +30,9 @@ struct auto_chunk {
 };
 
 struct lazy_chunk {
-  // Controller knobs; the default applies the GRAN_SPLIT / GRAN_SPLIT_MIN
-  // environment overrides.
-  core::split_options options = core::resolve_split_options();
+  // Controller knobs; the default takes GRAN_SPLIT / GRAN_SPLIT_MIN /
+  // GRAN_SPLIT_POLL.
+  core::split_options options;
   // Initial coarse tasks; 0 = one per worker.
   std::size_t initial_tasks = 0;
 };

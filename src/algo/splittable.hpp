@@ -182,10 +182,10 @@ void splittable_run_inline(thread_manager& tm, core::split_controller& ctl,
     std::rethrow_exception(join.error);
 }
 
-// Convenience overload owning its controller (options env-resolved).
+// Convenience overload owning its controller (options from the knob table).
 template <typename F>
 void splittable_for(thread_manager& tm, std::size_t first, std::size_t last,
-                    const F& fn, core::split_options opts = core::resolve_split_options(),
+                    const F& fn, core::split_options opts = {},
                     std::size_t initial_tasks = 0) {
   core::split_controller ctl(opts);
   splittable_for(tm, ctl, first, last, fn, initial_tasks);

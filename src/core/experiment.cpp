@@ -4,7 +4,6 @@
 
 #include "stencil/futurized.hpp"
 #include "threads/thread_manager.hpp"
-#include "topo/topology.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -16,7 +15,6 @@ run_measurement native_backend::run(const stencil::params& p, int cores) {
   scheduler_config cfg;
   cfg.num_workers = cores;
   cfg.policy = policy_;
-  cfg.pin_workers = topology::host().num_cpus() >= cores;
 
   thread_manager tm(cfg);
   tm.reset_counters();

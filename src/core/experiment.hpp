@@ -18,6 +18,7 @@
 
 #include "core/metrics.hpp"
 #include "stencil/params.hpp"
+#include "util/config.hpp"
 #include "util/stats.hpp"
 
 namespace gran::core {
@@ -35,10 +36,12 @@ class experiment_backend {
 // A fresh manager is built per core count; counters are reset per run.
 class native_backend final : public experiment_backend {
  public:
-  // `policy` is a scheduling-policy name (threads/policy.hpp); pinning is
-  // disabled automatically when the host is oversubscribed.
-  explicit native_backend(std::string policy = "priority-local-fifo");
-  std::string name() const override { return "native(" + policy_ + ")"; }
+  // `policy` is a scheduling-policy name (threads/policy.hpp); empty =
+  // GRAN_POLICY. name() reports the policy that runs.
+  explicit native_backend(std::string policy = "");
+  std::string name() const override {
+    return "native(" + (policy_.empty() ? config::text(config::policy) : policy_) + ")";
+  }
   run_measurement run(const stencil::params& p, int cores) override;
 
  private:

@@ -4,7 +4,6 @@
 
 #include "graph/executor.hpp"
 #include "threads/thread_manager.hpp"
-#include "topo/topology.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -19,7 +18,6 @@ graph_run_result native_graph_backend::run(const graph::graph_spec& g,
   scheduler_config cfg;
   cfg.num_workers = cores;
   cfg.policy = policy_;
-  cfg.pin_workers = topology::host().num_cpus() >= cores;
 
   thread_manager tm(cfg);
   tm.reset_counters();

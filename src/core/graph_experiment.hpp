@@ -19,6 +19,7 @@
 #include "core/metrics.hpp"
 #include "graph/kernels.hpp"
 #include "graph/spec.hpp"
+#include "util/config.hpp"
 #include "util/stats.hpp"
 
 namespace gran::core {
@@ -44,10 +45,12 @@ class graph_backend {
 // manager is built per run; counters are reset per run.
 class native_graph_backend final : public graph_backend {
  public:
-  // `window` bounds live dataflow rows as in graph::futurize_dag (0: none).
-  explicit native_graph_backend(std::string policy = "priority-local-fifo",
-                                std::size_t window = 0);
-  std::string name() const override { return "native(" + policy_ + ")"; }
+  // `policy` as in native_backend (empty = GRAN_POLICY); `window` bounds
+  // live dataflow rows as in graph::futurize_dag (0: none).
+  explicit native_graph_backend(std::string policy = "", std::size_t window = 0);
+  std::string name() const override {
+    return "native(" + (policy_.empty() ? config::text(config::policy) : policy_) + ")";
+  }
   graph_run_result run(const graph::graph_spec& g, const graph::kernel_spec& k,
                        int cores) override;
 

@@ -22,9 +22,9 @@
 // sampled cadence. All methods are thread-safe: many tasks poll one shared
 // controller.
 //
-// Knobs: GRAN_SPLIT=0 disables splitting entirely; GRAN_SPLIT_MIN=<items>
-// floors the child size (a range below 2× the floor is never split — the
-// demand is counted as /threads/count/split-denied). See docs/ADAPTIVE.md.
+// split_options defaults to the GRAN_SPLIT* knobs (README "Configuration").
+// A range below 2× min_chunk is never split — the demand is counted as
+// /threads/count/split-denied. See docs/ADAPTIVE.md.
 #pragma once
 
 #include <algorithm>
@@ -33,7 +33,7 @@
 #include <cstdint>
 
 #include "threads/thread_manager.hpp"
-#include "util/env.hpp"
+#include "util/config.hpp"
 
 namespace gran::core {
 
@@ -44,33 +44,22 @@ enum class split_verdict {
 };
 
 struct split_options {
-  bool enabled = true;        // GRAN_SPLIT=0 turns the controller off
-  std::size_t min_chunk = 64;  // GRAN_SPLIT_MIN: smallest child a split may produce
+  bool enabled = config::boolean(config::split);  // false turns the controller off
+  // smallest child a split may produce
+  std::size_t min_chunk = static_cast<std::size_t>(config::integer(config::split_min));
   double high_water = 0.30;   // pressure gate opens (paper §IV-A threshold)
   double low_water = 0.05;    // ... and latches until pressure falls below this
-  // Items executed between demand polls inside a splittable task; the
-  // response latency to a starving worker is at most poll_iters items.
-  std::size_t poll_iters = 64;
+  // Base items between demand polls (the stride doubles while nobody is hungry)
+  std::size_t poll_iters = static_cast<std::size_t>(config::integer(config::split_poll));
   // Polls between idle-rate/miss-rate re-observations (counter_totals walks
   // every worker, so the gate is fed at a decimated cadence). 0 = never
   // observe; only instantaneous hunger drives splits.
   std::size_t observe_every = 256;
 };
 
-// Applies the GRAN_SPLIT / GRAN_SPLIT_MIN / GRAN_SPLIT_POLL environment
-// overrides to `base`.
-inline split_options resolve_split_options(split_options base = {}) {
-  base.enabled = env_bool("GRAN_SPLIT", base.enabled);
-  const std::int64_t m = env_int("GRAN_SPLIT_MIN", 0);
-  if (m > 0) base.min_chunk = static_cast<std::size_t>(m);
-  const std::int64_t p = env_int("GRAN_SPLIT_POLL", 0);
-  if (p > 0) base.poll_iters = static_cast<std::size_t>(p);
-  return base;
-}
-
 class split_controller {
  public:
-  explicit split_controller(split_options opts = resolve_split_options())
+  explicit split_controller(split_options opts = {})
       : opts_(opts) {
     if (opts_.min_chunk == 0) opts_.min_chunk = 1;
   }

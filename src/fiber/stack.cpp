@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/env.hpp"
 
 namespace gran {
 
@@ -69,12 +68,6 @@ void fiber_stack::release() noexcept {
   }
 }
 
-std::size_t stack_pool::default_stack_size() {
-  static const std::size_t size =
-      static_cast<std::size_t>(env_int("GRAN_STACK_SIZE", 64 * 1024));
-  return size;
-}
-
 stack_pool::stack_pool(std::size_t stack_size, std::size_t max_cached)
     : stack_size_(stack_size), max_cached_(max_cached) {
   GRAN_ASSERT(stack_size_ >= 4096);
@@ -102,11 +95,6 @@ void stack_pool::release(fiber_stack stack) {
 std::size_t stack_pool::cached() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return cache_.size();
-}
-
-stack_pool& stack_pool::global() {
-  static stack_pool pool;
-  return pool;
 }
 
 }  // namespace gran

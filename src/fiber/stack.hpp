@@ -43,12 +43,7 @@ class fiber_stack {
 // Thread-safe free-list of stacks of a single size.
 class stack_pool {
  public:
-  // Default stack size: GRAN_STACK_SIZE env var, else 64 KiB (HPX's small
-  // stack default).
-  static std::size_t default_stack_size();
-
-  explicit stack_pool(std::size_t stack_size = default_stack_size(),
-                      std::size_t max_cached = 1024);
+  explicit stack_pool(std::size_t stack_size, std::size_t max_cached = 1024);
 
   // Pops a cached stack or allocates a fresh one.
   fiber_stack acquire();
@@ -58,9 +53,6 @@ class stack_pool {
 
   std::size_t stack_size() const noexcept { return stack_size_; }
   std::size_t cached() const;
-
-  // Process-wide pool used by the thread manager.
-  static stack_pool& global();
 
  private:
   const std::size_t stack_size_;

@@ -267,7 +267,7 @@ pmu_plane& pmu_plane::instance() {
 }
 
 void pmu_plane::configure(const std::string& spec) {
-  env_checked_.store(true, std::memory_order_relaxed);
+  configured_.store(true, std::memory_order_relaxed);
   if (spec.empty() || spec == "0" || spec == "off") {
     enabled_.store(false, std::memory_order_relaxed);
     force_software_.store(false, std::memory_order_relaxed);
@@ -278,12 +278,6 @@ void pmu_plane::configure(const std::string& spec) {
   force_software_.store(software, std::memory_order_relaxed);
   negotiated_.store(0, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
-}
-
-void pmu_plane::init_from_env() {
-  if (env_checked_.exchange(true, std::memory_order_relaxed)) return;
-  const char* v = std::getenv("GRAN_PMU");
-  if (v != nullptr && *v != '\0') configure(v);
 }
 
 std::unique_ptr<pmu_reader> pmu_plane::create_reader() {
@@ -329,7 +323,7 @@ void pmu_plane::reset_for_test() {
   force_software_.store(false, std::memory_order_relaxed);
   negotiated_.store(0, std::memory_order_relaxed);
   warned_.store(false, std::memory_order_relaxed);
-  env_checked_.store(false, std::memory_order_relaxed);
+  configured_.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace gran::perf

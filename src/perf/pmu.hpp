@@ -131,11 +131,9 @@ class pmu_plane {
   // ""/"0"/"off" disable. Must run before the thread manager is built —
   // workers decide at startup whether to carry a reader.
   void configure(const std::string& spec);
-
-  // Reads GRAN_PMU once per process (thread_manager startup calls this,
-  // mirroring tracer::init_from_env), so `GRAN_PMU=1 ./bench` works with no
-  // code changes.
-  void init_from_env();
+  // True once configure() ran: perf::start_observers then leaves GRAN_PMU
+  // unapplied, so the code's choice wins.
+  bool configured() const noexcept { return configured_.load(std::memory_order_relaxed); }
 
   bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
@@ -163,7 +161,7 @@ class pmu_plane {
   std::atomic<bool> force_software_{false};
   std::atomic<int> negotiated_{0};  // 0 = unprobed; else pmu_mode value
   std::atomic<bool> warned_{false};
-  std::atomic<bool> env_checked_{false};
+  std::atomic<bool> configured_{false};
 };
 
 }  // namespace gran::perf

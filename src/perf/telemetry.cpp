@@ -10,7 +10,6 @@
 #include "perf/analysis.hpp"
 #include "perf/heartbeat.hpp"
 #include "perf/trace.hpp"
-#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace gran::perf {
@@ -20,15 +19,11 @@ namespace {
 // SIGUSR1 -> flight dump. The handler only sets a flag (async-signal-safe);
 // the telemetry thread polls it every wakeup. One session owns the handler
 // at a time (the common case is exactly one per process, from
-// observability_session).
+// start_observers).
 std::atomic<bool> g_flight_signal{false};
 struct sigaction g_prev_usr1;
 
 void on_sigusr1(int) { g_flight_signal.store(true, std::memory_order_relaxed); }
-
-// Live sessions in this process; telemetry_autostart_from_env only fires
-// when this is zero (an observability_session-owned session wins).
-std::atomic<int> g_active_sessions{0};
 
 void write_incident_jsonl(std::ostream& os, const stall_incident& inc,
                           const std::string& flight_path) {
@@ -68,44 +63,10 @@ telemetry_session::telemetry_session(telemetry_options opt)
     if (::sigaction(SIGUSR1, &sa, &g_prev_usr1) == 0) signal_installed_ = true;
   }
 
-  g_active_sessions.fetch_add(1, std::memory_order_relaxed);
   thread_ = std::thread([this] { run(); });
 }
 
-telemetry_session::~telemetry_session() {
-  stop();
-  g_active_sessions.fetch_sub(1, std::memory_order_relaxed);
-}
-
-telemetry_options telemetry_options_from_env() {
-  telemetry_options to;
-  to.jsonl_out = env_string("GRAN_METRICS", "");
-  to.prom_out = env_string("GRAN_METRICS_PROM", "");
-  const std::int64_t us = env_int("GRAN_METRICS_US", 0);
-  if (us > 0) to.interval_us = us;
-  to.flight_prefix = env_string("GRAN_FLIGHT", "");
-  if (to.flight_prefix == "1" || to.flight_prefix == "true")
-    to.flight_prefix = "gran_flight";
-  const std::int64_t stall = env_int("GRAN_STALL_NS", 0);
-  if (stall > 0) to.watchdog.stuck_ns = stall;
-  return to;
-}
-
-void telemetry_autostart_from_env() {
-  static std::once_flag flag;
-  std::call_once(flag, [] {
-    if (g_active_sessions.load(std::memory_order_relaxed) > 0) return;
-    telemetry_options to = telemetry_options_from_env();
-    if (!to.enabled()) return;
-    // Touch the singletons the session's thread uses so they are
-    // constructed first and therefore destroyed after the session at exit.
-    registry::instance();
-    histogram_registry::instance();
-    heartbeat_board::instance();
-    tracer::instance();
-    static telemetry_session session(std::move(to));
-  });
-}
+telemetry_session::~telemetry_session() { stop(); }
 
 void telemetry_session::stop() {
   {

@@ -13,10 +13,10 @@
 // through the offline analyzer into <flight_prefix>-<n>.txt — without
 // stopping the workers.
 //
-// Sessions are owned by perf::observability_session (--metrics-out,
-// --metrics-prom, --metrics-interval-us, --flight-prefix, --stall-ns and
-// the GRAN_METRICS* / GRAN_FLIGHT / GRAN_STALL_NS environment knobs), so
-// every bench and tool grows the capability without code changes.
+// perf::start_observers (perf/observability.hpp) starts one session per
+// process from the knob table (GRAN_METRICS* / GRAN_FLIGHT / GRAN_STALL_NS
+// and their CLI twins), so every gran program grows the capability without
+// code changes. README's "Configuration" table has the defaults.
 #pragma once
 
 #include <atomic>
@@ -56,23 +56,6 @@ struct telemetry_options {
     return !jsonl_out.empty() || !prom_out.empty() || !flight_prefix.empty();
   }
 };
-
-// Telemetry options from the environment — the one place these knobs are
-// parsed: GRAN_METRICS (JSONL destination), GRAN_METRICS_PROM, GRAN_METRICS_US
-// (window length), GRAN_FLIGHT (flight-recorder prefix; 1/true means
-// "gran_flight") and GRAN_STALL_NS (watchdog stuck-task threshold). Unset or
-// non-positive numeric knobs keep the defaults.
-telemetry_options telemetry_options_from_env();
-
-// Starts a process-lifetime telemetry session from
-// telemetry_options_from_env(), the same way GRAN_TRACE arms the tracer: the
-// thread manager calls this from its constructor, so ANY gran program —
-// not just the benches and tools that own an observability_session —
-// honors the env knobs. No-op when the variables are unset, when a
-// telemetry_session already exists (observability_session constructs its
-// session before the first manager, and wins), and on every call after the
-// first.
-void telemetry_autostart_from_env();
 
 class telemetry_session {
  public:

@@ -9,7 +9,6 @@
 #include <ostream>
 #include <unordered_map>
 
-#include "util/env.hpp"
 
 namespace gran::perf {
 
@@ -114,20 +113,6 @@ void tracer::enable(std::size_t events_per_worker) {
 }
 
 void tracer::disable() { enabled_.store(false, std::memory_order_relaxed); }
-
-void tracer::init_from_env() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (env_checked_) return;
-    env_checked_ = true;
-    const std::string path = env_string("GRAN_TRACE", "");
-    if (path.empty()) return;
-    export_path_ = (path == "1" || path == "true") ? "gran_trace.json" : path;
-    const auto buf = env_int("GRAN_TRACE_BUF", 0);
-    if (buf > 0) ring_capacity_ = static_cast<std::size_t>(buf);
-  }
-  enabled_.store(true, std::memory_order_relaxed);
-}
 
 void tracer::set_export_path(std::string path) {
   std::lock_guard<std::mutex> lock(mutex_);

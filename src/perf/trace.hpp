@@ -226,16 +226,10 @@ class tracer {
   }
 
   // Turns tracing on. `events_per_worker` sizes rings created afterwards
-  // (0 = GRAN_TRACE_BUF env or the 65536-event default). Rings already
-  // handed out keep their size.
+  // (0 = the 65536-event default). Rings already handed out keep their
+  // size. perf::start_observers calls it for GRAN_TRACE / GRAN_TRACE_BIN.
   void enable(std::size_t events_per_worker = 0);
   void disable();
-
-  // Reads GRAN_TRACE (export path; "1" selects "gran_trace.json") and
-  // GRAN_TRACE_BUF (ring capacity in events) once per process; called by
-  // the thread manager at startup so plain `GRAN_TRACE=t.json ./bench`
-  // works with no code changes.
-  void init_from_env();
 
   // Where the runtime auto-exports at thread_manager::stop(); empty = no
   // auto-export.
@@ -300,7 +294,6 @@ class tracer {
   mutable std::atomic<bool> drop_warned_{false};
   std::size_t ring_capacity_ = 0;  // 0 = default
   std::string export_path_;
-  bool env_checked_ = false;
 };
 
 // Emit helpers used by the scheduler hot paths: compile to a relaxed load +

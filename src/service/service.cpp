@@ -6,7 +6,6 @@
 
 #include "perf/counters.hpp"
 #include "threads/thread_manager.hpp"
-#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace gran::service {
@@ -26,16 +25,6 @@ admission_policy policy_from_string(const std::string& text, admission_policy de
   if (text == "shed-oldest" || text == "shed_oldest" || text == "shed")
     return admission_policy::shed_oldest;
   return def;
-}
-
-service_config service_config::from_env(service_config base) {
-  base.shards = static_cast<int>(env_int("GRAN_SERVICE_SHARDS", base.shards));
-  base.shard_capacity = static_cast<std::size_t>(env_int(
-      "GRAN_SERVICE_SHARD_CAP", static_cast<std::int64_t>(base.shard_capacity)));
-  base.backlog_bound = env_int("GRAN_SERVICE_BACKLOG", base.backlog_bound);
-  base.policy = policy_from_string(env_string("GRAN_SERVICE_POLICY", ""), base.policy);
-  base.drain_batch = static_cast<int>(env_int("GRAN_SERVICE_BATCH", base.drain_batch));
-  return base;
 }
 
 struct task_service::request {

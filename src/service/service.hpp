@@ -54,9 +54,9 @@
 // done) into /service/histogram/{queue-wait,sojourn}, which the window
 // aggregator and both exporters surface as interval p50/p95/p99.
 //
-// Knobs (service_config::from_env): GRAN_SERVICE_SHARDS,
-// GRAN_SERVICE_SHARD_CAP, GRAN_SERVICE_BACKLOG, GRAN_SERVICE_POLICY,
-// GRAN_SERVICE_BATCH. See docs/SERVICE.md.
+// A default-constructed service_config takes the GRAN_SERVICE_* knobs
+// (util/config.hpp); fields the code sets win. README's "Configuration"
+// table has the defaults; docs/SERVICE.md the methodology.
 #pragma once
 
 #include <atomic>
@@ -71,6 +71,7 @@
 #include "queues/mpmc_bounded.hpp"
 #include "threads/task.hpp"
 #include "util/cacheline.hpp"
+#include "util/config.hpp"
 
 namespace gran {
 
@@ -93,17 +94,13 @@ enum class submit_status {
 };
 
 struct service_config {
-  int shards = 0;                  // 0 = one per worker
-  std::size_t shard_capacity = 1024;  // ring slots per shard (rounded up to 2^k)
-  std::int64_t backlog_bound = 4096;  // admission bound on accepted − completed
-  admission_policy policy = admission_policy::block;
-  int drain_batch = 64;            // requests a drainer spawns before yielding
-  bool register_counters = true;   // /service/... registry + histogram sources
-
-  // Environment overlay: GRAN_SERVICE_SHARDS, GRAN_SERVICE_SHARD_CAP,
-  // GRAN_SERVICE_BACKLOG, GRAN_SERVICE_POLICY, GRAN_SERVICE_BATCH.
-  static service_config from_env(service_config base);
-  static service_config from_env() { return from_env(service_config{}); }
+  int shards = static_cast<int>(config::integer(config::service_shards));  // 0 = one per worker
+  // ring slots per shard (rounded up to 2^k)
+  std::size_t shard_capacity = static_cast<std::size_t>(config::integer(config::service_shard_cap));
+  std::int64_t backlog_bound = config::integer(config::service_backlog);  // admission bound
+  admission_policy policy = policy_from_string(config::text(config::service_policy));
+  int drain_batch = static_cast<int>(config::integer(config::service_batch));  // spawns per yield
+  bool register_counters = true;  // /service/... registry + histogram sources
 };
 
 class task_service {

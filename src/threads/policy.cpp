@@ -1,6 +1,5 @@
 #include "threads/policy.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "threads/policy_channel_steal.hpp"
@@ -18,23 +17,12 @@ void scheduling_policy::enqueue_hinted(thread_manager& tm, int target, task* t) 
 
 void scheduling_policy::cooperate(thread_manager&, int) {}
 
-std::string resolve_policy_name(const std::string& configured) {
-  if (!configured.empty()) return configured;
-  if (const char* env = std::getenv("GRAN_POLICY"); env != nullptr && *env != '\0')
-    return env;
-  return "priority-local-fifo";
-}
-
 std::unique_ptr<scheduling_policy> make_policy(const std::string& name) {
-  const std::string resolved = resolve_policy_name(name);
-  if (resolved == "priority-local-fifo")
-    return std::make_unique<priority_local_policy>();
-  if (resolved == "static-fifo") return std::make_unique<static_fifo_policy>();
-  if (resolved == "work-stealing-lifo")
-    return std::make_unique<work_stealing_policy>();
-  if (resolved == "channel-steal")
-    return std::make_unique<channel_steal_policy>();
-  throw std::invalid_argument("unknown scheduling policy: " + resolved);
+  if (name == "priority-local-fifo") return std::make_unique<priority_local_policy>();
+  if (name == "static-fifo") return std::make_unique<static_fifo_policy>();
+  if (name == "work-stealing-lifo") return std::make_unique<work_stealing_policy>();
+  if (name == "channel-steal") return std::make_unique<channel_steal_policy>();
+  throw std::invalid_argument("unknown scheduling policy: " + name);
 }
 
 }  // namespace gran

@@ -63,8 +63,4 @@ class scheduling_policy {
 // unknown names.
 std::unique_ptr<scheduling_policy> make_policy(const std::string& name);
 
-// Resolves the effective policy name: `configured` when non-empty, else the
-// GRAN_POLICY environment variable, else "priority-local-fifo".
-std::string resolve_policy_name(const std::string& configured);
-
 }  // namespace gran

@@ -7,7 +7,6 @@
 #include "threads/task.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/assert.hpp"
-#include "util/env.hpp"
 
 namespace gran {
 
@@ -25,9 +24,7 @@ std::uint64_t pack_served(int victim, std::size_t batch) {
 void channel_steal_policy::init(thread_manager& tm) {
   num_workers_ = tm.num_workers();
 
-  std::string batch = tm.config().steal_batch;
-  if (batch.empty()) batch = env_string("GRAN_STEAL_BATCH", "");
-  if (batch.empty()) batch = "adaptive";
+  const std::string& batch = tm.config().steal_batch;
   if (batch == "one")
     mode_ = batch_mode::one;
   else if (batch == "half")

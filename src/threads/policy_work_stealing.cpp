@@ -7,16 +7,13 @@
 #include "threads/task.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/assert.hpp"
-#include "util/env.hpp"
 
 namespace gran {
 
 void work_stealing_policy::init(thread_manager& tm) {
   num_workers_ = tm.num_workers();
 
-  std::string order = tm.config().steal_order;
-  if (order.empty()) order = env_string("GRAN_STEAL_ORDER", "");
-  if (order.empty()) order = "hier";
+  const std::string& order = tm.config().steal_order;
   if (order != "hier" && order != "flat")
     throw std::invalid_argument("unknown steal order: " + order + " (hier|flat)");
   hier_ = order == "hier";

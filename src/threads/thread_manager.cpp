@@ -6,16 +6,16 @@
 #include <iostream>
 
 #include "perf/heartbeat.hpp"
+#include "perf/observability.hpp"
 #include "perf/report.hpp"
-#include "perf/telemetry.hpp"
 #include "perf/trace.hpp"
 #include "perf/watchdog.hpp"
 #include "threads/runtime.hpp"
 #include "topo/affinity.hpp"
-#include "util/env.hpp"
 #include "topo/topology.hpp"
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
+#include "util/config.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -31,19 +31,17 @@ thread_local task* tl_task = nullptr;
 }  // namespace
 
 thread_manager::thread_manager(scheduler_config cfg)
-    : cfg_(std::move(cfg)),
+    : cfg_(with_knobs(std::move(cfg), config::current())),
       low_queue_(cfg_.queue_ring_capacity),
-      stacks_(cfg_.stack_size ? cfg_.stack_size : stack_pool::default_stack_size()) {
+      stacks_(cfg_.stack_size) {
   const topology& topo = topology::host();
   const std::vector<int> allowed = allowed_cpus();
 
-  // Worker count: explicit config > GRAN_WORKERS env > one per *available*
+  // Worker count: explicit config > GRAN_WORKERS > one per *available*
   // logical CPU. In a container the cgroup cpuset is often a strict subset
   // of the CPUs sysfs lists; spawning a worker per listed CPU would
   // oversubscribe the granted ones.
   int workers = cfg_.num_workers;
-  if (workers <= 0)
-    workers = static_cast<int>(env_int("GRAN_WORKERS", 0));
   if (workers <= 0) {
     int available = 0;
     for (const int cpu : allowed)
@@ -56,8 +54,7 @@ thread_manager::thread_manager(scheduler_config cfg)
   // to the allowed cpuset (topo/pin_plan.hpp). pin_workers=false forces the
   // unpinned plan, which still yields the domain spread the policies need.
   plan_ = pin_plan::build(topo, allowed, workers,
-                          cfg_.pin_workers ? resolve_pin_mode(cfg_.pin)
-                                           : pin_mode::none);
+                          cfg_.pin_workers ? pin_mode_from_name(cfg_.pin) : pin_mode::none);
 
   // Domain count: explicit config override (simulation ablations pretend a
   // multi-node machine) keeps the pre-plan even spread; otherwise the plan's
@@ -87,26 +84,13 @@ thread_manager::thread_manager(scheduler_config cfg)
     workers_.push_back(std::move(wd));
   }
 
-  // Live telemetry: GRAN_METRICS / GRAN_METRICS_PROM / GRAN_FLIGHT start a
-  // process-lifetime session in any program, mirroring GRAN_TRACE below.
-  // Must run before the tracer ring handout: GRAN_FLIGHT force-enables
-  // tracing and the workers need their rings.
-  perf::telemetry_autostart_from_env();
-
-  // Task-lifecycle tracing: GRAN_TRACE=path (or a tool calling
-  // perf::tracer::enable() before constructing the manager) turns it on;
-  // each worker caches its ring pointer so the hot-path check is one
-  // relaxed atomic load plus a predictable branch (perf/trace.hpp).
-  perf::tracer::instance().init_from_env();
+  // The knob table's observers (tracer, PMU plane, telemetry) start once per
+  // process, before the ring handout: each worker caches its ring, so the
+  // hot-path check is one relaxed load plus a predictable branch.
+  perf::start_observers();
   if (perf::tracer::enabled())
     for (int w = 0; w < workers; ++w)
       workers_[static_cast<std::size_t>(w)]->trace = perf::tracer::instance().ring(w);
-
-  // Hardware-counter attribution: GRAN_PMU=1 (or a tool calling
-  // perf::pmu_plane::configure before construction) turns it on; each
-  // worker opens its own counter group from worker_main so the events
-  // self-attach to the right thread (perf/pmu.hpp).
-  perf::pmu_plane::instance().init_from_env();
 
   // Liveness monitoring: publish this pool on the heartbeat board so the
   // stall watchdog (perf/watchdog.hpp) can observe the workers without a
@@ -117,9 +101,6 @@ thread_manager::thread_manager(scheduler_config cfg)
     workers_[static_cast<std::size_t>(w)]->heartbeat =
         perf::heartbeat_board::instance().slot(w);
 
-  // Normalize so config().policy names the backend actually running even
-  // when it came from the GRAN_POLICY environment variable.
-  cfg_.policy = resolve_policy_name(cfg_.policy);
   policy_ = make_policy(cfg_.policy);
   policy_->init(*this);
 
@@ -284,7 +265,7 @@ void thread_manager::stop() {
 
   // GRAN_PRINT_COUNTERS=<prefix> dumps the counters at shutdown — the
   // equivalent of HPX's --hpx:print-counter post-processing interface.
-  const std::string prefix = env_string("GRAN_PRINT_COUNTERS", "");
+  const std::string& prefix = config::text(config::print_counters);
   if (!prefix.empty()) {
     std::cerr << "[gran] counters at shutdown (" << prefix << "):\n";
     perf::dump_table(std::cerr, prefix == "all" ? "/" : prefix);

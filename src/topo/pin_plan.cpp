@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "util/assert.hpp"
-#include "util/env.hpp"
 
 namespace gran {
 
@@ -25,13 +24,6 @@ pin_mode pin_mode_from_name(const std::string& name) {
   if (name == "none") return pin_mode::none;
   throw std::invalid_argument("unknown pin mode: " + name +
                               " (compact|scatter|none)");
-}
-
-pin_mode resolve_pin_mode(const std::string& configured) {
-  if (!configured.empty()) return pin_mode_from_name(configured);
-  const std::string env = env_string("GRAN_PIN", "");
-  if (!env.empty()) return pin_mode_from_name(env);
-  return pin_mode::compact;
 }
 
 bool pin_plan::pinned() const noexcept {

@@ -32,8 +32,6 @@ enum class pin_mode : int { compact, scatter, none };
 const char* pin_mode_name(pin_mode m) noexcept;
 // Throws std::invalid_argument on unknown names.
 pin_mode pin_mode_from_name(const std::string& name);
-// Resolution order: explicit `configured` string > GRAN_PIN env > compact.
-pin_mode resolve_pin_mode(const std::string& configured);
 
 struct worker_assignment {
   int cpu = -1;     // logical CPU (OS index) to pin to; -1 = run unpinned

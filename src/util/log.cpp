@@ -5,23 +5,27 @@
 #include <cstring>
 #include <mutex>
 
-#include "util/env.hpp"
+#include "util/config.hpp"
 
 namespace gran::log {
 
 namespace {
 
 log_level initial_level() {
-  const std::string v = env_string("GRAN_LOG", "warn");
+  const std::string& v = config::text(config::log);
   if (v == "error") return log_level::error;
-  if (v == "warn") return log_level::warn;
   if (v == "info") return log_level::info;
   if (v == "debug") return log_level::debug;
   if (v == "trace") return log_level::trace;
   return log_level::warn;
 }
 
-std::atomic<log_level> g_level{initial_level()};
+// Read on first use: main() may still have to hand the table its argv.
+std::atomic<log_level>& level_cell() {
+  static std::atomic<log_level> cell{initial_level()};
+  return cell;
+}
+
 std::mutex g_sink_mutex;
 
 const char* level_name(log_level lvl) {
@@ -37,8 +41,8 @@ const char* level_name(log_level lvl) {
 
 }  // namespace
 
-log_level level() noexcept { return g_level.load(std::memory_order_relaxed); }
-void set_level(log_level lvl) noexcept { g_level.store(lvl, std::memory_order_relaxed); }
+log_level level() noexcept { return level_cell().load(std::memory_order_relaxed); }
+void set_level(log_level lvl) noexcept { level_cell().store(lvl, std::memory_order_relaxed); }
 bool enabled(log_level lvl) noexcept { return lvl <= level(); }
 
 void write(log_level lvl, const char* fmt, ...) {

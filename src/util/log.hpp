@@ -1,7 +1,7 @@
-// Leveled stderr logging. The level is read once from the GRAN_LOG
-// environment variable (error|warn|info|debug|trace) and can be overridden
-// programmatically. Logging from inside tasks is safe: the sink takes a
-// plain OS mutex only after formatting, and never suspends.
+// Leveled stderr logging. The level is read once from the GRAN_LOG knob
+// (util/config.hpp) and can be overridden programmatically. Logging from
+// inside tasks is safe: the sink takes a plain OS mutex only after
+// formatting, and never suspends.
 #pragma once
 
 #include <cstdarg>

@@ -7,7 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
+
+#include "util/config.hpp"
 
 namespace gran {
 
@@ -33,13 +34,10 @@ constexpr double mix64_to_unit(std::uint64_t h) noexcept {
 
 // Seed for randomized tests: GRAN_FUZZ_SEED when set (so a failure printed
 // with its seed can be replayed exactly), `fallback` otherwise.
-inline std::uint64_t fuzz_seed(std::uint64_t fallback) noexcept {
-  if (const char* s = std::getenv("GRAN_FUZZ_SEED"); s != nullptr && *s != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 0);
-    if (end != s && *end == '\0') return static_cast<std::uint64_t>(v);
-  }
-  return fallback;
+inline std::uint64_t fuzz_seed(std::uint64_t fallback) {
+  const config::settings& s = config::current();
+  return s.set(config::fuzz_seed) ? static_cast<std::uint64_t>(s.integer(config::fuzz_seed))
+                                  : fallback;
 }
 
 }  // namespace gran

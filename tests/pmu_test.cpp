@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "perf/analysis.hpp"
+#include "perf/observability.hpp"
 #include "perf/pmu.hpp"
 #include "perf/trace.hpp"
 
@@ -101,10 +102,18 @@ TEST_F(PmuTest, PlaneOffByDefaultAndOnOff) {
 TEST_F(PmuTest, ConfigureWinsOverLaterEnvInit) {
   auto& plane = perf::pmu_plane::instance();
   plane.configure("sw");
-  // thread_manager calls init_from_env at startup; an explicit configure
-  // (CLI --pmu) must not be clobbered by it.
-  plane.init_from_env();
+  // thread_manager starts the knob table's observers at startup; a plane the
+  // code configured first must not be clobbered by GRAN_PMU.
+  const char* none[] = {"prog"};
+  perf::start_observers(config::resolve({"GRAN_PMU=1"}, cli_args(1, none)));
   EXPECT_TRUE(plane.enabled());
+  EXPECT_EQ(plane.mode(), pmu_mode::software);
+}
+
+TEST_F(PmuTest, KnobConfiguresAnUntouchedPlane) {
+  auto& plane = perf::pmu_plane::instance();
+  const char* none[] = {"prog"};
+  perf::start_observers(config::resolve({"GRAN_PMU=sw"}, cli_args(1, none)));
   EXPECT_EQ(plane.mode(), pmu_mode::software);
 }
 

@@ -422,19 +422,19 @@ TEST(ThreadManager, HighPriorityRunsBeforeQueuedNormal) {
 
 
 TEST(ThreadManager, GranWorkersEnvDefault) {
-  ::setenv("GRAN_WORKERS", "3", 1);
+  const char* none[] = {"prog"};
+  const config::settings knobs = config::resolve({"GRAN_WORKERS=3"}, cli_args(1, none));
   {
-    scheduler_config cfg;  // num_workers = 0 -> env wins
+    scheduler_config cfg;  // num_workers = 0 -> the knob wins
     cfg.pin_workers = false;
-    thread_manager tm(cfg);
+    thread_manager tm(with_knobs(cfg, knobs));
     EXPECT_EQ(tm.num_workers(), 3);
   }
   {
-    scheduler_config cfg = test_config(2);  // explicit config beats env
-    thread_manager tm(cfg);
+    // explicit config beats the knob
+    thread_manager tm(with_knobs(test_config(2), knobs));
     EXPECT_EQ(tm.num_workers(), 2);
   }
-  ::unsetenv("GRAN_WORKERS");
 }
 
 TEST(ThreadManager, InstantaneousQueueGauges) {

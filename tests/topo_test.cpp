@@ -239,14 +239,22 @@ TEST(PinPlan, RestrictedAffinityMaskNeverPinsOutside) {
 
 TEST(PinPlan, OversubscriptionLeavesAllUnpinned) {
   const topology t = two_node_topo();
-  const pin_plan plan = pin_plan::build(t, {}, 8, pin_mode::compact);
-  ASSERT_EQ(plan.workers.size(), 8u);
-  for (const auto& w : plan.workers) EXPECT_EQ(w.cpu, -1);
-  EXPECT_FALSE(plan.pinned());
-  // Domains still spread evenly for the policies' locality tiers.
-  EXPECT_EQ(plan.num_domains, 2);
-  EXPECT_EQ(plan.workers[0].domain, 0);
-  EXPECT_EQ(plan.workers[7].domain, 1);
+  // More workers than the host's CPUs, and more than a restricted cpuset
+  // allows although the host has enough.
+  const struct {
+    std::vector<int> allowed;
+    int workers;
+  } cases[] = {{{}, 8}, {{1, 3}, 3}};
+  for (const auto& c : cases) {
+    const pin_plan plan = pin_plan::build(t, c.allowed, c.workers, pin_mode::compact);
+    ASSERT_EQ(plan.workers.size(), static_cast<std::size_t>(c.workers));
+    for (const auto& w : plan.workers) EXPECT_EQ(w.cpu, -1);
+    EXPECT_FALSE(plan.pinned());
+    // Domains still spread evenly for the policies' locality tiers.
+    EXPECT_EQ(plan.num_domains, 2);
+    EXPECT_EQ(plan.workers.front().domain, 0);
+    EXPECT_EQ(plan.workers.back().domain, 1);
+  }
 }
 
 TEST(PinPlan, ModeNoneLeavesAllUnpinned) {

@@ -16,6 +16,7 @@
 #include "perf/observability.hpp"
 #include "perf/trace.hpp"
 #include "threads/thread_manager.hpp"
+#include "util/config.hpp"
 
 namespace gran {
 namespace {
@@ -270,47 +271,38 @@ TEST_F(TraceTest, StealEventsCarryVictim) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);  // flow end
 }
 
-// --- observability_session options -------------------------------------------
+// --- observability knobs -------------------------------------------------------
 
 TEST(Observability, OptionsFromEnvAndCli) {
-  ::setenv("GRAN_TRACE", "env.json", 1);
-  ::setenv("GRAN_METRICS", "env.jsonl", 1);
-  ::setenv("GRAN_METRICS_US", "250", 1);
-  ::setenv("GRAN_FLIGHT", "1", 1);
-  const auto env = perf::observability_session::options_from_env();
-  EXPECT_EQ(env.trace_out, "env.json");
-  EXPECT_EQ(env.telemetry.jsonl_out, "env.jsonl");
-  EXPECT_EQ(env.telemetry.interval_us, 250);
-  EXPECT_EQ(env.telemetry.flight_prefix, "gran_flight");
-  // The session and the thread manager's env autostart share one parse.
-  EXPECT_EQ(perf::telemetry_options_from_env().jsonl_out, "env.jsonl");
-  for (const char* k : {"GRAN_TRACE", "GRAN_METRICS", "GRAN_METRICS_US", "GRAN_FLIGHT"})
-    ::unsetenv(k);
+  const std::vector<std::string> env = {"GRAN_TRACE=env.json", "GRAN_METRICS=env.jsonl",
+                                        "GRAN_METRICS_US=250", "GRAN_FLIGHT=1"};
+  const char* none[] = {"prog"};
+  const config::settings env_only = config::resolve(env, cli_args(1, none));
+  EXPECT_EQ(env_only.text(config::trace), "env.json");
+  const perf::telemetry_options t = perf::telemetry_options_from(env_only);
+  EXPECT_EQ(t.jsonl_out, "env.jsonl");
+  EXPECT_EQ(t.interval_us, 250);
+  EXPECT_EQ(t.flight_prefix, "gran_flight");
 
   const char* argv[] = {"prog", "--trace-out=cli.json", "--metrics-out=cli.jsonl",
                         "--metrics-interval-us=50", "--stall-ns=7000"};
-  const cli_args args(5, argv);
-  const auto opt = perf::observability_session::options_from_cli(args, env);
-  EXPECT_EQ(opt.trace_out, "cli.json");  // CLI beats env
-  EXPECT_EQ(opt.telemetry.jsonl_out, "cli.jsonl");
-  EXPECT_EQ(opt.telemetry.interval_us, 50);
-  EXPECT_EQ(opt.telemetry.watchdog.stuck_ns, 7000);
-  EXPECT_EQ(opt.telemetry.flight_prefix, "gran_flight");  // env kept
-}
-
-void options_from_sampler_env() {
-  ::setenv("GRAN_SAMPLE_OUT", "ts.csv", 1);
-  perf::observability_session::options_from_env();
+  const config::settings both = config::resolve(env, cli_args(5, argv));
+  EXPECT_EQ(both.text(config::trace), "cli.json");  // CLI beats env
+  const perf::telemetry_options o = perf::telemetry_options_from(both);
+  EXPECT_EQ(o.jsonl_out, "cli.jsonl");
+  EXPECT_EQ(o.interval_us, 50);
+  EXPECT_EQ(o.watchdog.stuck_ns, 7000);
+  EXPECT_EQ(o.flight_prefix, "gran_flight");  // env kept
 }
 
 TEST(Observability, RemovedSamplerKnobsFailLoudly) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const char* argv[] = {"prog", "--sample-interval-us=1000"};
-  const cli_args args(2, argv);
-  EXPECT_EXIT(perf::observability_session::options_from_cli(args, {}),
-              ::testing::ExitedWithCode(2), "--metrics-out / GRAN_METRICS");
-  EXPECT_EXIT(options_from_sampler_env(), ::testing::ExitedWithCode(2),
-              "GRAN_SAMPLE_OUT was removed");
+  const char* none[] = {"prog"};
+  EXPECT_EXIT(config::load({}, cli_args(2, argv)), ::testing::ExitedWithCode(2),
+              "--metrics-out / GRAN_METRICS");
+  EXPECT_EXIT(config::load({"GRAN_SAMPLE_OUT=ts.csv"}, cli_args(1, none)),
+              ::testing::ExitedWithCode(2), "GRAN_SAMPLE_OUT was removed");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for src/util: statistics, CLI parsing, table/number formatting,
-// environment access, timers, backoff.
+// timers, backoff. The knob table has its own config_test.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "util/backoff.hpp"
 #include "util/cacheline.hpp"
 #include "util/cli.hpp"
-#include "util/env.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -261,21 +260,6 @@ TEST(SampleStats, PercentileHandlesUnsortedInput) {
   EXPECT_DOUBLE_EQ(s.median(), 5.0);
   EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(s.percentile(100), 9.0);
-}
-
-// --- env ---------------------------------------------------------------------
-
-TEST(Env, StringIntBool) {
-  ::setenv("GRAN_TEST_STR", "hello", 1);
-  ::setenv("GRAN_TEST_INT", "123", 1);
-  ::setenv("GRAN_TEST_BOOL", "yes", 1);
-  EXPECT_EQ(env_string("GRAN_TEST_STR", "x"), "hello");
-  EXPECT_EQ(env_int("GRAN_TEST_INT", 0), 123);
-  EXPECT_TRUE(env_bool("GRAN_TEST_BOOL", false));
-  EXPECT_EQ(env_string("GRAN_TEST_ABSENT", "def"), "def");
-  EXPECT_EQ(env_int("GRAN_TEST_ABSENT", 9), 9);
-  ::setenv("GRAN_TEST_INT", "not_a_number", 1);
-  EXPECT_EQ(env_int("GRAN_TEST_INT", 5), 5);
 }
 
 

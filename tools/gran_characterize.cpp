@@ -24,7 +24,6 @@
 #include "perf/observability.hpp"
 #include "sim/graph_sim.hpp"
 #include "sim/sim_backend.hpp"
-#include "threads/policy.hpp"
 #include "topo/topology.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -44,8 +43,7 @@ void print_usage() {
       "  --min-partition=N  finest grain to test (default 250)\n"
       "  --per-decade=N     sweep resolution (default 3)\n"
       "  --threshold=F      idle-rate tolerance for the threshold rule (default 0.30)\n"
-      "  --policy=NAME      scheduling policy for native runs (default: GRAN_POLICY,\n"
-      "                     else priority-local-fifo)\n"
+      "  --policy=NAME      scheduling policy for native runs (the GRAN_POLICY knob)\n"
       "  --mode=sim         characterize a modeled platform instead\n"
       "  --platform=NAME    sim platform: sandy-bridge|ivy-bridge|haswell|xeon-phi\n"
       "  --csv=PREFIX       also write PREFIXcharacterize.csv\n"
@@ -58,11 +56,8 @@ void print_usage() {
       "  --kernel=NAME      busy_spin|memory_stream|dgemm_like\n"
       "  --grain-min=NS --grain-max=NS   grain axis bounds (ns)\n"
       "\n"
-      "observability (native mode; see docs/TRACING.md, docs/TELEMETRY.md):\n"
-      "  --trace-out=PATH         export a Chrome/Perfetto trace of the run\n"
-      "  --trace-buf=N            per-worker trace ring capacity, events\n"
-      "  --metrics-out=DEST       counter time series: one JSONL window per interval\n"
-      "  --metrics-interval-us=N  window length (default 100000)\n";
+      "plus the knob table's flags (--trace-out, --metrics-out, ...; README\n"
+      "\"Configuration\").\n";
 }
 
 // Task-graph mode: characterize one dependence pattern by sweeping the
@@ -77,8 +72,7 @@ int run_graph_workload(const cli_args& args, graph::pattern kind) {
     default_workers = model.spec.cores;
     backend = std::make_unique<sim::graph_sim_backend>(model);
   } else {
-    backend = std::make_unique<core::native_graph_backend>(
-        resolve_policy_name(args.get("policy", "")));
+    backend = std::make_unique<core::native_graph_backend>();
     default_workers = topology::host().num_cpus();
   }
 
@@ -171,8 +165,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  perf::observability_session obs(perf::observability_session::options_from_cli(
-      args, perf::observability_session::options_from_env()));
+  perf::observability_session obs(args);
 
   if (args.has("workload"))
     return run_graph_workload(args, graph::pattern_from_name(args.get("workload")));
@@ -189,8 +182,7 @@ int main(int argc, char** argv) {
     default_points = 10'000'000;
     backend = std::move(sb);
   } else {
-    backend = std::make_unique<core::native_backend>(
-        resolve_policy_name(args.get("policy", "")));
+    backend = std::make_unique<core::native_backend>();
     default_workers = topology::host().num_cpus();
     default_points = 1'000'000;
   }

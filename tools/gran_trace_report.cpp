@@ -30,9 +30,10 @@
 #include "perf/analysis.hpp"
 #include "perf/pmu.hpp"
 #include "perf/trace.hpp"
-#include "threads/policy.hpp"
+#include "perf/observability.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/cli.hpp"
+#include "util/config.hpp"
 
 namespace {
 
@@ -136,17 +137,13 @@ int run_in_process(const cli_args& args) {
   (void)graph::calibrated_rates();
 
   // The tracer must be live before the manager is built — workers cache
-  // their ring pointers at construction. Same for the PMU plane: readers
-  // attach at worker start.
-  const std::string pmu = args.get("pmu", "");
-  if (!pmu.empty()) perf::pmu_plane::instance().configure(pmu);
-
+  // their ring pointers at construction. (The PMU plane of --pmu / GRAN_PMU
+  // is already configured: observability_session started the observers.)
   auto& tr = perf::tracer::instance();
-  tr.enable(static_cast<std::size_t>(args.get_int("trace-buf", 0)));
+  tr.enable(static_cast<std::size_t>(config::integer(config::trace_buf)));
 
   scheduler_config cfg;
   cfg.num_workers = workers;
-  cfg.policy = resolve_policy_name(args.get("policy", ""));
 
   thread_manager::totals totals;
   graph::run_stats stats;
@@ -190,13 +187,12 @@ int main(int argc, char** argv) {
            "without --in, runs a traced graph workload in-process:\n"
            "  --pattern= --width= --steps= --radius= --fraction= --seed=\n"
            "  --kernel= --grain= --imbalance= --workers= --policy= --window=\n"
-           "  --trace-buf=N   ring capacity in events\n"
-           "  --pmu=MODE      per-task hardware counters: 1/on probes the\n"
-           "                  hardware, sw forces the software-only fallback\n"
-           "                  (also GRAN_PMU; off when neither is given)\n"
-           "  --save=PATH     also save the captured trace as a binary dump\n";
+           "  --save=PATH     also save the captured trace as a binary dump\n"
+           "plus the knob table's flags (--trace-buf, --pmu, ...; README\n"
+           "\"Configuration\").\n";
     return 0;
   }
+  perf::observability_session obs(args);
 
   const std::string in = args.get("in", "");
   if (in.empty()) return run_in_process(args);
