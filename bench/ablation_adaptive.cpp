@@ -121,10 +121,11 @@ int main(int argc, char** argv) {
   const int samples = static_cast<int>(args.get_int("samples", 3));
   const double item_ns = args.get_double("item-ns", 150.0);
   const double sim_imbalance = args.get_double("sim-imbalance", 0.5);
-  const std::string mode = args.get("mode", "both");
-  const std::string kernel_filter = args.get("kernel", "both");
-  const std::string strategy_filter = args.get("strategy", "all");
-  const std::string platform = args.get("platform", "haswell");
+  const std::string mode = args.get_choice("mode", "both", {"native", "sim", "both"});
+  const std::string kernel_filter =
+      args.get_choice("kernel", "both", {"busy_spin", "memory_stream", "both"});
+  const std::string strategy_filter = args.get_choice("strategy", "all", {"all", "fixed", "lazy"});
+  const sim::machine_model model = args.get_named("platform", "haswell", sim::make_machine_model);
   const bool check = args.has("check");
   const double ratio_gate = args.get_double("ratio", 0.9);
 
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
     // serial, where the right answer is "never split").
     const int sim_cores = static_cast<int>(args.get_int("sim-cores", 4));
     sim::split_sim_config base;
-    base.model = sim::make_machine_model(platform);
+    base.model = model;
     base.cores = sim_cores;
     base.items = items;
     base.imbalance = sim_imbalance;
@@ -287,6 +288,10 @@ int main(int argc, char** argv) {
     if (g.lazy_vs_best < ratio_gate) pass = false;
   }
 
+  if (check && gates.empty()) {
+    std::cout << "FAIL: --check evaluated no gate\n";
+    return 1;
+  }
   if (check && !pass) {
     std::cout << "FAIL: lazy_chunk below " << format_number(ratio_gate * 100, 0)
               << "% of best fixed grain\n";

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     policies.push_back(
         {"channel-steal", sim::sim_policy::priority_local, "channel-steal"});
 
-  fig_plan plan = make_plan(opt, "haswell", {16}, 50);
+  const fig_plan plan = make_plan(opt, "haswell", {16}, 50);
   const int cores = plan.cores.front();
 
   std::cout << "Ablation: scheduling policies across task granularity ("
@@ -51,32 +51,27 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<core::sweep_point>> series;
   for (const auto& pc : policies) {
-    std::unique_ptr<core::experiment_backend> backend;
+    std::unique_ptr<core::backend> backend;
     if (opt.mode == "native") {
-      backend = std::make_unique<core::native_backend>(pc.native_policy);
+      backend = std::make_unique<core::native_backend>(plan.base, pc.native_policy);
     } else {
       auto sb = std::make_unique<sim::sim_backend>(
-          opt.platform.empty() ? "haswell" : opt.platform);
+          opt.platform.empty() ? "haswell" : opt.platform, plan.base);
       sb->set_policy(pc.sim_policy);
       backend = std::move(sb);
     }
-    core::sweep_config cfg;
-    cfg.base = plan.base;
-    cfg.partition_sizes = plan.partitions;
-    cfg.cores = cores;
-    cfg.samples = plan.samples;
-    cfg.measure_baseline = false;  // exec-time comparison only
-    core::granularity_experiment exp(*backend, cfg);
-    series.push_back(exp.run([&](const core::sweep_point& p) {
+    // Exec-time comparison only: no 1-core baselines.
+    core::granularity_experiment exp(*backend, {plan.partitions, plan.samples, false});
+    series.push_back(exp.run(cores, [&](const core::sweep_point& p) {
       if (!opt.quiet)
-        std::fprintf(stderr, "  [%s] partition %-10zu exec %.4f s\n", pc.label,
-                     p.partition_size, p.exec_time_s.mean());
+        std::fprintf(stderr, "  [%s] partition %-10.0f exec %.4f s\n", pc.label, p.x,
+                     p.exec_time_s.mean());
     }));
   }
 
   for (std::size_t i = 0; i < plan.partitions.size(); ++i) {
     std::vector<std::string> row{
-        format_count(static_cast<std::int64_t>(series.front()[i].partition_size))};
+        format_count(static_cast<std::int64_t>(series.front()[i].x))};
     for (const auto& s : series) row.push_back(format_number(s[i].exec_time_s.mean(), 4));
     table.add_row(std::move(row));
   }

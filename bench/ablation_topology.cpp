@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   const bool quick = args.has("quick");
 
   graph::graph_spec g;
-  g.kind = graph::pattern_from_name(args.get("pattern", "spread"));
+  g.kind = args.get_named("pattern", "spread", graph::pattern_from_name);
   g.width = static_cast<std::uint32_t>(args.get_int("width", quick ? 64 : 256));
   g.steps = static_cast<std::uint32_t>(args.get_int("steps", quick ? 8 : 20));
   g.radius = static_cast<std::uint32_t>(args.get_int("radius", 2));

@@ -28,17 +28,16 @@ int main(int argc, char** argv) {
       {"idle-rate (%)", [](const core::sweep_point& p) { return p.m.idle_rate * 100.0; }, 1},
   };
 
-  std::vector<std::vector<core::sweep_point>> series;
-  run_metric_figure(opt, "fig4", "haswell", {8, 16, 28}, 50, columns, &series);
+  const auto series = run_metric_figure(opt, "fig4", "haswell", {8, 16, 28}, 50, columns);
 
   if (opt.select && !series.empty()) {
     std::cout << "\nSelector check (paper §IV-A, threshold 30% on the largest core count):\n";
     const auto& sweep = series.back();
     const auto best = core::best_exec_time(sweep);
-    std::cout << "  best partition: " << best.partition_size << " at "
+    std::cout << "  best partition: " << static_cast<std::size_t>(best.x) << " at "
               << format_number(best.exec_time_s, 4) << " s\n";
     if (const auto sel = core::idle_rate_threshold(sweep, 0.30)) {
-      std::cout << "  idle-rate<=30% picks: " << sel->partition_size << " at "
+      std::cout << "  idle-rate<=30% picks: " << static_cast<std::size_t>(sel->x) << " at "
                 << format_number(sel->exec_time_s, 4) << " s ("
                 << format_number(sel->regret * 100.0, 1) << "% above optimum)\n";
     } else {

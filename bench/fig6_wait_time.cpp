@@ -29,14 +29,11 @@ int main(int argc, char** argv) {
   for (const int c : plan.cores) header.push_back(std::to_string(c) + " cores (us)");
   table_writer table(std::move(header));
 
-  std::vector<double> baselines;
-  std::vector<std::vector<core::sweep_point>> series;
-  for (const int c : plan.cores)
-    series.push_back(run_series(plan, c, baselines, opt.quiet));
+  const auto series = run_series(plan, opt.quiet);
 
   for (std::size_t i = 0; i < plan.partitions.size(); ++i) {
     std::vector<std::string> row{
-        format_count(static_cast<std::int64_t>(series.front()[i].partition_size))};
+        format_count(static_cast<std::int64_t>(series.front()[i].x))};
     for (const auto& s : series)
       row.push_back(format_number(s[i].m.wait_per_task_ns / 1e3, 2));
     table.add_row(std::move(row));

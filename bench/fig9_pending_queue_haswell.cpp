@@ -32,17 +32,16 @@ int main(int argc, char** argv) {
        1},
   };
 
-  std::vector<std::vector<core::sweep_point>> series;
-  run_metric_figure(opt, "fig9", "haswell", {8, 16, 28}, 50, columns, &series);
+  const auto series = run_metric_figure(opt, "fig9", "haswell", {8, 16, 28}, 50, columns);
 
   if (opt.select && !series.empty()) {
     std::cout << "\nSelector check (paper §IV-E, largest core count):\n";
     const auto& sweep = series.back();
     const auto best = core::best_exec_time(sweep);
     const auto sel = core::pending_queue_minimum(sweep);
-    std::cout << "  best partition: " << best.partition_size << " at "
+    std::cout << "  best partition: " << static_cast<std::size_t>(best.x) << " at "
               << format_number(best.exec_time_s, 4) << " s\n"
-              << "  min pending-accesses picks: " << sel.partition_size << " at "
+              << "  min pending-accesses picks: " << static_cast<std::size_t>(sel.x) << " at "
               << format_number(sel.exec_time_s, 4) << " s ("
               << format_number(sel.regret * 100.0, 1) << "% above optimum)\n";
   }

@@ -52,8 +52,11 @@ struct fig_options {
 
 inline fig_options parse_fig_options(const cli_args& args) {
   fig_options opt;
-  opt.mode = args.get("mode", "sim");
-  opt.platform = args.get("platform", "");
+  opt.mode = args.get_choice("mode", "sim", {"sim", "native"});
+  opt.platform = args.get_named("platform", "", [](const std::string& name) {
+    if (!name.empty()) sim::make_machine_model(name);  // throws on an unknown name
+    return name;
+  });
   opt.cores = args.get_int_list("cores", {});
   opt.points = static_cast<std::size_t>(args.get_int("points", 0));
   opt.steps = static_cast<std::size_t>(args.get_int("steps", 0));
@@ -70,10 +73,10 @@ inline fig_options parse_fig_options(const cli_args& args) {
 
 // Resolved experiment plan for one figure.
 struct fig_plan {
-  std::unique_ptr<core::experiment_backend> backend;
+  std::unique_ptr<core::backend> backend;
   std::vector<int> cores;
   stencil::params base;
-  std::vector<std::size_t> partitions;
+  std::vector<double> partitions;
   int samples = 1;
   std::string platform_label;
 };
@@ -88,13 +91,6 @@ inline fig_plan make_plan(const fig_options& opt, const std::string& default_pla
   const std::string platform =
       opt.platform.empty() ? default_platform : opt.platform;
   plan.platform_label = platform;
-
-  if (opt.mode == "native") {
-    plan.backend = std::make_unique<core::native_backend>();
-    plan.platform_label = "native-host";
-  } else {
-    plan.backend = std::make_unique<sim::sim_backend>(platform);
-  }
 
   if (!opt.cores.empty()) {
     for (const auto c : opt.cores) plan.cores.push_back(static_cast<int>(c));
@@ -115,27 +111,29 @@ inline fig_plan make_plan(const fig_options& opt, const std::string& default_pla
   plan.partitions = core::granularity_sweep(lo, hi, opt.per_decade ? opt.per_decade : 3);
 
   plan.samples = opt.samples ? opt.samples : (opt.mode == "native" ? 3 : 1);
+
+  if (opt.mode == "native") {
+    plan.backend = std::make_unique<core::native_backend>(plan.base);
+    plan.platform_label = "native-host";
+  } else {
+    plan.backend = std::make_unique<sim::sim_backend>(platform, plan.base);
+  }
   return plan;
 }
 
-// Runs the sweep for one core count, reusing the backend's 1-core baselines.
-inline std::vector<core::sweep_point> run_series(
-    const fig_plan& plan, int cores, std::vector<double>& baselines, bool quiet) {
-  core::sweep_config cfg;
-  cfg.base = plan.base;
-  cfg.partition_sizes = plan.partitions;
-  cfg.cores = cores;
-  cfg.samples = plan.samples;
-  core::granularity_experiment exp(*plan.backend, cfg);
-  if (!baselines.empty()) exp.set_baselines(baselines);
-  auto points = exp.run([&](const core::sweep_point& p) {
-    if (!quiet)
-      std::fprintf(stderr, "  [%s %2d cores] partition %-10zu exec %.4f s\n",
-                   plan.platform_label.c_str(), cores, p.partition_size,
-                   p.exec_time_s.mean());
-  });
-  baselines = exp.baselines();
-  return points;
+// Runs the sweep at every core count of the plan; the 1-core baselines are
+// measured once and reused.
+inline std::vector<std::vector<core::sweep_point>> run_series(const fig_plan& plan,
+                                                              bool quiet) {
+  core::granularity_experiment exp(*plan.backend, {plan.partitions, plan.samples});
+  std::vector<std::vector<core::sweep_point>> series;
+  for (const int cores : plan.cores)
+    series.push_back(exp.run(cores, [&](const core::sweep_point& p) {
+      if (!quiet)
+        std::fprintf(stderr, "  [%s %2d cores] partition %-10.0f exec %.4f s\n",
+                     plan.platform_label.c_str(), cores, p.x, p.exec_time_s.mean());
+    }));
+  return series;
 }
 
 inline void emit_table(table_writer& table, const std::string& title,
@@ -156,35 +154,33 @@ struct metric_column {
   int precision = 4;
 };
 
-inline void run_metric_figure(const fig_options& opt, const std::string& figure_name,
-                              const std::string& default_platform,
-                              std::vector<int> default_cores, std::size_t default_steps,
-                              const std::vector<metric_column>& columns,
-                              std::vector<std::vector<core::sweep_point>>* out = nullptr) {
+// Prints one table per core count and returns the series for selector
+// checks.
+inline std::vector<std::vector<core::sweep_point>> run_metric_figure(
+    const fig_options& opt, const std::string& figure_name,
+    const std::string& default_platform, std::vector<int> default_cores,
+    std::size_t default_steps, const std::vector<metric_column>& columns) {
   const fig_plan plan = make_plan(opt, default_platform, std::move(default_cores),
                                   default_steps);
-  std::vector<double> baselines;
-  for (const int cores : plan.cores) {
-    auto points = run_series(plan, cores, baselines, opt.quiet);
-
+  auto series = run_series(plan, opt.quiet);
+  for (std::size_t s = 0; s < series.size(); ++s) {
+    const std::string cores = std::to_string(plan.cores[s]);
     std::vector<std::string> header{"partition", "tasks"};
     for (const auto& col : columns) header.push_back(col.title);
     table_writer table(std::move(header));
-    for (const auto& p : points) {
+    for (const auto& p : series[s]) {
       std::vector<std::string> row{
-          format_count(static_cast<std::int64_t>(p.partition_size)),
+          format_count(static_cast<std::int64_t>(p.x)),
           format_count(static_cast<std::int64_t>(p.num_tasks))};
       for (const auto& col : columns)
         row.push_back(format_number(col.extract(p), col.precision));
       table.add_row(std::move(row));
     }
     emit_table(table,
-               figure_name + " (" + plan.platform_label + ", " +
-                   std::to_string(cores) + " cores)",
-               opt.csv_prefix,
-               figure_name + "_" + plan.platform_label + "_" + std::to_string(cores) + "c");
-    if (out) out->push_back(std::move(points));
+               figure_name + " (" + plan.platform_label + ", " + cores + " cores)",
+               opt.csv_prefix, figure_name + "_" + plan.platform_label + "_" + cores + "c");
   }
+  return series;
 }
 
 }  // namespace gran::bench

@@ -38,13 +38,12 @@
 #include <string>
 #include <vector>
 
-#include "core/graph_experiment.hpp"
+#include "core/experiment.hpp"
 #include "graph/kernels.hpp"
 #include "graph/spec.hpp"
 #include "perf/analysis.hpp"
 #include "perf/observability.hpp"
-#include "sim/graph_sim.hpp"
-#include "sim/machine_model.hpp"
+#include "sim/sim_backend.hpp"
 #include "topo/topology.hpp"
 #include "util/cli.hpp"
 #include "util/config.hpp"
@@ -54,62 +53,50 @@ using namespace gran;
 
 namespace {
 
-int run_pattern(core::graph_backend& backend, graph::pattern kind,
-                const cli_args& args, bool full, int cores) {
-  core::graph_sweep_config cfg;
-  cfg.graph.kind = kind;
-  cfg.graph.width = static_cast<std::uint32_t>(args.get_int("width", 256));
-  cfg.graph.steps = static_cast<std::uint32_t>(args.get_int("steps", 20));
-  cfg.graph.radius = static_cast<std::uint32_t>(args.get_int("radius", 1));
-  cfg.graph.fraction = args.get_double("fraction", 0.25);
-  cfg.graph.seed = static_cast<std::uint64_t>(args.get_int("graph-seed", 1));
-  if (const std::string err = cfg.graph.validate(); !err.empty()) {
+int run_pattern(graph::pattern kind, const cli_args& args, bool sim_mode,
+                const sim::machine_model& model, int cores) {
+  const bool full = args.has("full");
+  core::graph_workload w;
+  w.graph.kind = kind;
+  w.graph.width = static_cast<std::uint32_t>(args.get_int("width", 256));
+  w.graph.steps = static_cast<std::uint32_t>(args.get_int("steps", 20));
+  w.graph.radius = static_cast<std::uint32_t>(args.get_int("radius", 1));
+  w.graph.fraction = args.get_double("fraction", 0.25);
+  w.graph.seed = static_cast<std::uint64_t>(args.get_int("graph-seed", 1));
+  if (const std::string err = w.graph.validate(); !err.empty()) {
     std::cerr << "invalid graph spec: " << err << "\n";
     return 1;
   }
+  w.kernel.kind = args.get_named("kernel", "busy_spin", graph::kernel_from_name);
+  w.kernel.imbalance = args.get_double("imbalance", 0.0);
+  w.window = static_cast<std::size_t>(args.get_int("window", 0));
 
-  cfg.kernel.kind = graph::kernel_from_name(args.get("kernel", "busy_spin"));
-  cfg.kernel.imbalance = args.get_double("imbalance", 0.0);
-  cfg.cores = cores;
+  std::unique_ptr<core::backend> backend;
+  if (sim_mode)
+    backend = std::make_unique<sim::sim_backend>(model, w);
+  else
+    backend = std::make_unique<core::native_backend>(w);
+
+  core::sweep_config cfg;
   cfg.samples = static_cast<int>(args.get_int("samples", 3));
-  cfg.grains_ns = core::grain_sweep_ns(
-      args.get_double("grain-min", full ? 316.0 : 1e3),
-      args.get_double("grain-max", 1e6),
-      static_cast<int>(args.get_int("per-decade", full ? 4 : 2)));
+  cfg.axis = core::granularity_sweep(args.get_double("grain-min", full ? 316.0 : 1e3),
+                                     args.get_double("grain-max", 1e6),
+                                     static_cast<int>(args.get_int("per-decade", full ? 4 : 2)));
 
-  std::cout << "\n" << cfg.graph.describe() << " on " << backend.name() << ", "
-            << cfg.cores << " cores: " << cfg.graph.total_tasks() << " tasks, "
-            << cfg.graph.total_edges() << " edges, " << cfg.samples
-            << " samples per grain\n";
+  std::cout << "\n" << w.graph.describe() << " on " << backend->name() << ", " << cores
+            << " cores: " << w.graph.total_tasks() << " tasks, " << w.graph.total_edges()
+            << " edges, " << cfg.samples << " samples per grain\n";
 
-  core::graph_granularity_experiment exp(backend, cfg);
-  const auto points = exp.run([](const core::graph_sweep_point& p) {
-    std::fprintf(stderr, "  grain %-10.0f exec %.4f s  idle %.1f%%\n", p.grain_ns,
+  core::granularity_experiment exp(*backend, cfg);
+  const auto points = exp.run(cores, [](const core::sweep_point& p) {
+    std::fprintf(stderr, "  grain %-10.0f exec %.4f s  idle %.1f%%\n", p.x,
                  p.exec_time_s.mean(), p.m.idle_rate * 100);
   });
 
   // Eq. 1–6 metrics per grain; exec time reported as mean / median / min
   // over the samples (Task Bench reports minimum-over-samples — min is the
   // least noise-contaminated, mean feeds the paper's averaged counters).
-  table_writer table({"grain (us)", "tasks", "edges", "td (us)", "exec mean (s)",
-                      "exec med (s)", "exec min (s)", "COV", "idle (%)", "to (us)",
-                      "To (s)", "tw (us)", "Tw (s)", "pending acc"});
-  for (const auto& p : points) {
-    table.add_row({format_number(p.grain_ns / 1e3, 2),
-                   format_count(static_cast<std::int64_t>(p.num_tasks)),
-                   format_count(static_cast<std::int64_t>(p.num_edges)),
-                   format_number(p.m.task_duration_ns / 1e3, 2),
-                   format_number(p.exec_time_s.mean(), 4),
-                   format_number(p.exec_time_s.median(), 4),
-                   format_number(p.exec_time_s.min(), 4),
-                   format_number(p.cov, 3),
-                   format_number(p.m.idle_rate * 100, 1),
-                   format_number(p.m.task_overhead_ns / 1e3, 2),
-                   format_number(p.m.tm_overhead_s, 4),
-                   format_number(p.m.wait_per_task_ns / 1e3, 2),
-                   format_number(p.m.wait_time_s, 4),
-                   format_count(static_cast<std::int64_t>(p.mean.pending_accesses))});
-  }
+  const table_writer table = core::metrics_table(points, core::grain_axis());
   table.print(std::cout);
 
   const std::string csv = args.get("csv", "");
@@ -127,35 +114,25 @@ int main(int argc, char** argv) {
   const cli_args args(argc, argv);
   perf::observability_session obs(args);
 
-  const bool full = args.has("full");
-  const bool sim_mode = args.get("mode", "native") == "sim";
+  const bool sim_mode = args.get_choice("mode", "native", {"native", "sim"}) == "sim";
+  const sim::machine_model model = args.get_named("platform", "haswell", sim::make_machine_model);
+  std::vector<graph::pattern> kinds(std::begin(graph::all_patterns),
+                                    std::end(graph::all_patterns));
+  if (args.get("pattern") != "all")
+    kinds = {args.get_named("pattern", "stencil1d", graph::pattern_from_name)};
   const bool report = args.has("report") && !sim_mode;
   // --report needs events even when no export flag turned tracing on. Must
   // happen before the backend builds its first thread manager.
   if (report)
     perf::tracer::instance().enable(static_cast<std::size_t>(config::integer(config::trace_buf)));
 
-  std::unique_ptr<core::graph_backend> backend;
-  int cores;
-  if (sim_mode) {
-    const auto model = sim::make_machine_model(args.get("platform", "haswell"));
-    cores = static_cast<int>(args.get_int("cores", model.spec.cores));
-    backend = std::make_unique<sim::graph_sim_backend>(model);
-  } else {
-    cores = static_cast<int>(
-        args.get_int("workers", topology::host().num_cpus()));
-    backend = std::make_unique<core::native_graph_backend>(
-        "", static_cast<std::size_t>(args.get_int("window", 0)));
-  }
+  const int cores = static_cast<int>(
+      sim_mode ? args.get_int("cores", model.spec.cores)
+               : args.get_int("workers", topology::host().num_cpus()));
 
-  const std::string pattern = args.get("pattern", "stencil1d");
   int rc = 0;
-  if (pattern == "all") {
-    for (const graph::pattern kind : graph::all_patterns)
-      if ((rc = run_pattern(*backend, kind, args, full, cores)) != 0) break;
-  } else {
-    rc = run_pattern(*backend, graph::pattern_from_name(pattern), args, full, cores);
-  }
+  for (const graph::pattern kind : kinds)
+    if ((rc = run_pattern(kind, args, sim_mode, model, cores)) != 0) break;
 
   if (rc == 0 && report) {
     // All managers are gone (one per run, destroyed inside the backend), so

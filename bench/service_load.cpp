@@ -227,16 +227,14 @@ int main(int argc, char** argv) {
   cfg.clients = static_cast<int>(args.get_int("clients", 2));
   cfg.workers = static_cast<int>(args.get_int("workers", 4));
   cfg.cores = static_cast<int>(args.get_int("cores", cfg.workers));
-  cfg.platform = args.get("platform", "haswell");
+  cfg.platform = args.get_named("platform", "haswell", [](const std::string& name) {
+    sim::make_machine_model(name);  // throws on an unknown name
+    return name;
+  });
 
-  const std::string mode = args.get("mode", "native");
+  const std::string mode = args.get_choice("mode", "native", {"native", "sim", "both"});
   const bool run_native = mode == "native" || mode == "both";
   const bool run_sim = mode == "sim" || mode == "both";
-  if (!run_native && !run_sim) {
-    std::cerr << "service_load: unknown --mode=" << mode
-              << " (native|sim|both)\n";
-    return 2;
-  }
 
   const std::vector<std::int64_t> sweep = args.get_int_list("sweep-grain", {});
   if (!sweep.empty()) {

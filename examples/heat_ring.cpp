@@ -74,44 +74,24 @@ int run_single(const cli_args& args) {
 }
 
 int run_sweep(const cli_args& args) {
+  stencil::params base;
+  base.total_points = static_cast<std::size_t>(args.get_int("points", 1'000'000));
+  base.time_steps = static_cast<std::size_t>(args.get_int("steps", 20));
+  const int cores = static_cast<int>(args.get_int("workers", topology::host().num_cpus()));
   core::sweep_config cfg;
-  cfg.base.total_points = static_cast<std::size_t>(args.get_int("points", 1'000'000));
-  cfg.base.time_steps = static_cast<std::size_t>(args.get_int("steps", 20));
-  cfg.cores = static_cast<int>(args.get_int("workers", topology::host().num_cpus()));
   cfg.samples = static_cast<int>(args.get_int("samples", 2));
-  cfg.partition_sizes = core::granularity_sweep(
-      static_cast<std::size_t>(args.get_int("min-partition", 250)),
-      cfg.base.total_points, 2);
+  cfg.axis = core::granularity_sweep(args.get_int("min-partition", 250), base.total_points, 2);
 
-  core::native_backend backend;
+  core::native_backend backend(base);
   core::granularity_experiment exp(backend, cfg);
 
-  table_writer table({"partition", "tasks", "exec (s)", "COV", "idle-rate (%)",
-                      "td (us)", "to (us)", "pending acc"});
-  auto points = exp.run([](const core::sweep_point& pt) {
-    std::fprintf(stderr, "  partition %-9zu done\n", pt.partition_size);
+  const auto points = exp.run(cores, [](const core::sweep_point& pt) {
+    std::fprintf(stderr, "  partition %-9.0f done\n", pt.x);
   });
-  for (const auto& pt : points) {
-    table.add_row({format_count(static_cast<std::int64_t>(pt.partition_size)),
-                   format_count(static_cast<std::int64_t>(pt.num_tasks)),
-                   format_number(pt.exec_time_s.mean(), 4), format_number(pt.cov, 3),
-                   format_number(pt.m.idle_rate * 100, 1),
-                   format_number(pt.m.task_duration_ns / 1e3, 1),
-                   format_number(pt.m.task_overhead_ns / 1e3, 1),
-                   format_count(static_cast<std::int64_t>(pt.mean.pending_accesses))});
-  }
-  std::cout << "\nGranularity sweep on this host (" << cfg.cores << " workers):\n";
-  table.print(std::cout);
-
-  const auto best = core::best_exec_time(points);
-  std::cout << "best partition size: " << best.partition_size << " ("
-            << format_number(best.exec_time_s, 4) << " s)\n";
-  if (const auto sel = core::idle_rate_threshold(points, 0.30))
-    std::cout << "idle-rate<=30% picks: " << sel->partition_size << " (+"
-              << format_number(sel->regret * 100, 1) << "% vs best)\n";
-  const auto pq = core::pending_queue_minimum(points);
-  std::cout << "pending-queue minimum picks: " << pq.partition_size << " (+"
-            << format_number(pq.regret * 100, 1) << "% vs best)\n";
+  std::cout << "\nGranularity sweep on this host (" << cores << " workers):\n";
+  core::metrics_table(points, core::partition_axis()).print(std::cout);
+  std::cout << "\nGrain-size selection rules:\n";
+  core::rules_table(points, 0.30, core::partition_axis()).print(std::cout);
   return 0;
 }
 

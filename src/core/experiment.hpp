@@ -1,97 +1,141 @@
-// The experiment driver of §II: sweep task granularity (partition size) and
-// core count over the heat-diffusion benchmark, collect the performance
-// counters, and compute the paper's metrics with mean / stddev / COV over
-// repeated samples.
+// The experiment driver of §II, the paper's method in one place: sweep the
+// task granularity x, run every point `samples` times, average the event
+// counts over the samples, and compute Eqs. 1–6 against the task duration
+// td1 of the same x on one core.
 //
-// The driver is backend-agnostic: the *native* backend executes the
-// futurized stencil on the real runtime of this machine; the *simulator*
-// backend (src/sim) executes the same dependency graph on a modeled machine
-// (Haswell / Xeon Phi / ...). Both produce run_measurement, so every figure
-// bench works in either mode.
+// x is the grain dial of the workload a backend runs: the partition size in
+// grid points for the heat-ring stencil (the paper's axis), or the kernel
+// grain in ns for a parameterized task graph (src/graph, Task Bench's axis).
+// A backend runs one x on one machine — the real runtime of this host
+// (native_backend) or a modeled platform (sim::sim_backend, src/sim) — so
+// every figure bench, graph sweep and tool drives this one sweep in either
+// mode.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/metrics.hpp"
+#include "graph/kernels.hpp"
+#include "graph/spec.hpp"
 #include "stencil/params.hpp"
 #include "util/config.hpp"
 #include "util/stats.hpp"
+#include "util/table.hpp"
 
 namespace gran::core {
 
-// Runs one (partition size × cores) configuration and reports its raw
-// measurement.
-class experiment_backend {
- public:
-  virtual ~experiment_backend() = default;
-  virtual std::string name() const = 0;
-  virtual run_measurement run(const stencil::params& p, int cores) = 0;
+// A task graph swept over its kernel grain.
+struct graph_workload {
+  graph::graph_spec graph;
+  graph::kernel_spec kernel;  // grain_ns is x
+  // > 0: hold the total work fixed instead of the width — grain x runs
+  // max(1, total_ns / x / steps) tasks per step (the paper's micro
+  // benchmarks, bench/micro_grain_sweep).
+  double total_ns = 0.0;
+  std::size_t window = 0;  // native: live dataflow rows (0: none)
 };
 
-// Native backend: real thread_manager + futurized stencil on this host.
-// A fresh manager is built per core count; counters are reset per run.
-class native_backend final : public experiment_backend {
+// What a backend runs: the heat-ring stencil (x = partition size) or a task
+// graph (x = kernel grain, ns).
+using workload = std::variant<stencil::params, graph_workload>;
+
+// The concrete run of granularity x: the stencil with partition size x,
+// normalized to divide the grid; the graph with kernel grain x.
+stencil::params at(const stencil::params& base, double x);
+graph_workload at(const graph_workload& base, double x);
+
+// What one run of one x observed.
+struct run_result {
+  run_measurement m;
+  double x = 0.0;            // the x that ran (a partition size normalized)
+  std::uint64_t tasks = 0;   // tasks of the workload (DAG nodes)
+  std::uint64_t edges = 0;   // dependence edges (0 where not counted: native stencil)
+  std::uint64_t stolen = 0;  // tasks that ran on a worker other than their own
+};
+
+// Runs one granularity value x of its workload on `cores` workers.
+class backend {
+ public:
+  virtual ~backend() = default;
+  virtual std::string name() const = 0;
+  virtual run_result run(double x, int cores) = 0;
+};
+
+// The real runtime of this host: a fresh thread_manager per run, the
+// futurized stencil or the futurized DAG (graph/executor.hpp) on it.
+class native_backend final : public backend {
  public:
   // `policy` is a scheduling-policy name (threads/policy.hpp); empty =
   // GRAN_POLICY. name() reports the policy that runs.
-  explicit native_backend(std::string policy = "");
+  explicit native_backend(workload w, std::string policy = "")
+      : workload_(std::move(w)), policy_(std::move(policy)) {}
   std::string name() const override {
     return "native(" + (policy_.empty() ? config::text(config::policy) : policy_) + ")";
   }
-  run_measurement run(const stencil::params& p, int cores) override;
+  run_result run(double x, int cores) override;
 
  private:
+  workload workload_;
   std::string policy_;
 };
 
 struct sweep_config {
-  stencil::params base;                       // total_points / time_steps / physics
-  std::vector<std::size_t> partition_sizes;   // granularity axis
-  int cores = 1;
-  int samples = 3;                            // paper: 10
-  bool measure_baseline = true;               // 1-core td1 pass for Eqs. 5/6
+  std::vector<double> axis;      // granularity values x
+  int samples = 3;               // paper: 10
+  bool measure_baseline = true;  // 1-core td1 pass for Eqs. 5/6
 };
 
-// One point of the sweep: all samples of one partition size.
+// One point of the sweep: all samples of one x.
 struct sweep_point {
-  std::size_t partition_size = 0;
+  double x = 0.0;  // as run (a partition size normalized to divide the grid)
   int cores = 1;
   std::uint64_t num_tasks = 0;
+  std::uint64_t num_edges = 0;
+  std::uint64_t stolen = 0;    // mean over samples
 
   sample_stats exec_time_s;    // across samples
   double cov = 0.0;            // COV of execution time (paper §IV)
 
-  run_measurement mean;        // counters averaged over samples
+  run_measurement mean;        // event counts averaged over samples
   double td1_ns = 0.0;         // 1-core task duration baseline
-  metrics m;                   // derived metrics (Eqs. 1–6)
+  metrics m;                   // Eqs. 1–6 from the averaged counts
 };
 
-// Geometric series of partition sizes from `lo` to `hi` (inclusive-ish),
-// `per_decade` points per decade — the paper sweeps 160 .. 100 M.
-std::vector<std::size_t> granularity_sweep(std::size_t lo, std::size_t hi,
-                                           int per_decade = 4);
+// Geometric series from `lo` to `hi` (inclusive-ish), `per_decade` points
+// per decade, rounded to integers — the paper sweeps partitions of
+// 160 .. 100 M points; grains are whole nanoseconds.
+std::vector<double> granularity_sweep(double lo, double hi, int per_decade = 4);
+
+// How a report shows x: its column title and one cell.
+struct axis_format {
+  std::string title;
+  std::function<std::string(double)> cell;
+};
+axis_format partition_axis();  // "partition", grid points with separators
+axis_format grain_axis();      // "grain (us)", two decimals
+
+// The Eq. 1–6 table of a sweep, one row per x: tasks, td, exec time (mean,
+// median, min over the samples), COV, idle-rate, to, To, tw, Tw and
+// pending-queue accesses.
+table_writer metrics_table(const std::vector<sweep_point>& sweep, const axis_format& axis);
 
 class granularity_experiment {
  public:
   using progress_fn = std::function<void(const sweep_point&)>;
 
-  granularity_experiment(experiment_backend& backend, sweep_config cfg);
+  granularity_experiment(backend& b, sweep_config cfg);
 
-  // Runs the full sweep; invokes `progress` after each completed point.
-  std::vector<sweep_point> run(const progress_fn& progress = nullptr);
-
-  // Baseline pass: task durations td1 on one core per partition size
-  // (measured once, reused across core counts — the paper's "one time cost
-  // prior to data runs").
-  const std::vector<double>& baselines() const { return td1_ns_; }
-  void set_baselines(std::vector<double> td1_ns) { td1_ns_ = std::move(td1_ns); }
+  // Sweeps the axis on `cores` workers; invokes `progress` after each point.
+  // The first call measures td1 for every x on one core; later calls (other
+  // core counts) reuse it — the paper's "one time cost prior to data runs".
+  std::vector<sweep_point> run(int cores, const progress_fn& progress = nullptr);
 
  private:
-  experiment_backend& backend_;
+  backend& backend_;
   sweep_config cfg_;
   std::vector<double> td1_ns_;
 };

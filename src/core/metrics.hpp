@@ -15,8 +15,8 @@
 
 namespace gran::core {
 
-// Raw measurements of one experiment run (one partition size × core count).
-// Produced by an experiment_backend: the native runtime fills it from the
+// Raw measurements of one experiment run (one granularity × core count).
+// Produced by a core::backend: the native runtime fills it from the
 // /threads/* performance counters, the simulator from its event counts.
 struct run_measurement {
   double exec_time_s = 0.0;   // wall/virtual time of the measured section
@@ -50,7 +50,7 @@ struct metrics {
 metrics compute_metrics(const run_measurement& run, double td1_ns);
 
 // Sample averaging (the paper computes metrics from the *average* of the
-// event counts over repeated samples, §II). Shared by every sweep driver.
+// event counts over repeated samples, §II), done by the sweep driver.
 void accumulate_measurement(run_measurement& acc, const run_measurement& m);
 run_measurement average_measurement(run_measurement acc, int samples);
 

@@ -15,18 +15,15 @@ using detail::id_step;
 using detail::task_id;
 
 // The heat-ring dependence structure (paper Fig. 2): task (t, b) depends on
-// partitions b-1, b, b+1 of step t-1, periodic. `independent` drops every
-// edge, turning it into the paper's micro benchmark (§I-C): same tasks,
-// same sizes, no dataflow.
+// partitions b-1, b, b+1 of step t-1, periodic.
 class stencil_workload {
  public:
-  explicit stencil_workload(const sim_config& cfg)
-      : model_(cfg.model),
-        np_(cfg.workload.num_partitions()),
-        steps_(cfg.workload.time_steps),
-        points_(cfg.workload.partition_size),
-        total_points_(cfg.workload.total_points),
-        independent_(cfg.workload_kind == sim_workload::independent),
+  stencil_workload(const machine_model& model, const stencil::params& p)
+      : model_(model),
+        np_(p.num_partitions()),
+        steps_(p.time_steps),
+        points_(p.partition_size),
+        total_points_(p.total_points),
         distinct_preds_(static_cast<int>(std::min<std::uint64_t>(np_, 3))) {}
 
   std::uint64_t total_tasks() const { return np_ * steps_; }
@@ -37,18 +34,13 @@ class stencil_workload {
 
   template <typename F>
   void for_each_root(F&& f) const {
-    // The independent workload has no dependency edges, so *every* task is
-    // a root; the stencil seeds only step 0.
-    const std::uint64_t root_steps = independent_ ? steps_ : 1;
-    for (std::uint64_t t = 0; t < root_steps; ++t)
-      for (std::uint64_t b = 0; b < np_; ++b) f(task_id(t, b));
+    for (std::uint64_t b = 0; b < np_; ++b) f(task_id(0, b));
   }
 
   int fanin(std::uint64_t /*id*/) const { return distinct_preds_; }
 
   template <typename F>
   void for_each_dependent(std::uint64_t id, F&& f) const {
-    if (independent_) return;  // no edges
     const std::uint32_t t = id_step(id);
     const std::uint64_t b = id_part(id);
     if (t + 1 >= steps_) return;
@@ -77,23 +69,16 @@ class stencil_workload {
   const std::uint32_t steps_;
   const std::uint64_t points_;
   const std::uint64_t total_points_;
-  const bool independent_;
   const int distinct_preds_;
 };
 
 }  // namespace
 
-sim_result simulate_stencil(const sim_config& cfg) {
-  GRAN_ASSERT_MSG(cfg.workload.total_points % cfg.workload.partition_size == 0,
+sim_result simulate_stencil(const sim_config& cfg, const stencil::params& p) {
+  GRAN_ASSERT_MSG(p.total_points % p.partition_size == 0,
                   "partition size must divide the grid (params::normalize)");
-  detail::engine_config ecfg;
-  ecfg.model = cfg.model;
-  ecfg.cores = cfg.cores;
-  ecfg.seed = cfg.seed;
-  ecfg.policy = cfg.policy;
-  ecfg.numa_aware_steal = cfg.numa_aware_steal;
-  const stencil_workload w(cfg);
-  detail::des_engine<stencil_workload> sim(ecfg, w);
+  const stencil_workload w(cfg.model, p);
+  detail::des_engine<stencil_workload> sim(cfg, w);
   return sim.run();
 }
 

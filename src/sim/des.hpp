@@ -30,23 +30,13 @@ enum class sim_policy {
   work_stealing,    // LIFO owner pop, FIFO steal, no staged stage
 };
 
-// What the simulated tasks are:
-//   stencil      — the paper's benchmark: one task per partition per step,
-//                  each depending on the three closest partitions of the
-//                  previous step (Fig. 2);
-//   independent  — the paper's "micro benchmarks" (§I-C): the same number
-//                  of tasks of the same size with NO dependencies, created
-//                  serially by the main thread. Isolates pure scheduling
-//                  effects from the dataflow structure.
-enum class sim_workload { stencil, independent };
-
+// The simulated machine and scheduler; the workload is a separate argument
+// (simulate_stencil here, simulate_graph in sim/graph_sim.hpp).
 struct sim_config {
   machine_model model;
   int cores = 1;               // simulated workers (clamped to model cores)
-  stencil::params workload;
   std::uint64_t seed = 1;      // deterministic execution-time jitter
   sim_policy policy = sim_policy::priority_local;
-  sim_workload workload_kind = sim_workload::stencil;
   // When false, the steal search ignores NUMA domains and probes every
   // victim in plain ring order (ablation_steal_order).
   bool numa_aware_steal = true;
@@ -61,6 +51,6 @@ struct sim_result {
 };
 
 // Runs one simulation. Deterministic for a fixed config.
-sim_result simulate_stencil(const sim_config& cfg);
+sim_result simulate_stencil(const sim_config& cfg, const stencil::params& p);
 
 }  // namespace gran::sim

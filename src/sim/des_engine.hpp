@@ -24,9 +24,9 @@
 //   double exec_single_core_ns(std::uint64_t id) const;
 //   std::size_t fanin_reserve_hint() const;
 //
-// Instantiations: the heat-ring stencil and the independent-task micro
-// benchmark (sim/des.cpp), and any graph::graph_spec pattern
-// (sim/graph_sim.cpp).
+// Instantiations: the heat-ring stencil (sim/des.cpp) and any
+// graph::graph_spec pattern (sim/graph_sim.cpp), the edge-free `trivial`
+// one (the paper's micro benchmarks) included.
 #pragma once
 
 #include <algorithm>
@@ -57,15 +57,6 @@ inline std::uint32_t id_step(std::uint64_t id) { return static_cast<std::uint32_
 inline std::uint32_t id_part(std::uint64_t id) {
   return static_cast<std::uint32_t>(id & 0xffffffffu);
 }
-
-// The workload-independent slice of sim_config.
-struct engine_config {
-  machine_model model;
-  int cores = 1;
-  std::uint64_t seed = 1;
-  sim_policy policy = sim_policy::priority_local;
-  bool numa_aware_steal = true;
-};
 
 struct core_state {
   time_ns now = 0;
@@ -104,7 +95,7 @@ struct deferred_stage {
 template <typename Workload>
 class des_engine {
  public:
-  des_engine(const engine_config& cfg, const Workload& workload)
+  des_engine(const sim_config& cfg, const Workload& workload)
       : cfg_(cfg),
         w_(workload),
         num_cores_(std::max(1, std::min(cfg.cores, cfg.model.spec.cores))) {
@@ -521,7 +512,7 @@ class des_engine {
 
   // --- state ----------------------------------------------------------------
 
-  engine_config cfg_;
+  sim_config cfg_;
   const Workload& w_;
   const int num_cores_;
   // Cached copy of cost constants (hot loop reads; scaled by contention).

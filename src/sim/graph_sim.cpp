@@ -117,44 +117,12 @@ class graph_workload {
 
 }  // namespace
 
-sim_result simulate_graph(const graph_sim_config& cfg) {
-  GRAN_ASSERT_MSG(cfg.graph.validate().empty(), "invalid graph spec");
-  detail::engine_config ecfg;
-  ecfg.model = cfg.model;
-  ecfg.cores = cfg.cores;
-  ecfg.seed = cfg.seed;
-  ecfg.policy = cfg.policy;
-  ecfg.numa_aware_steal = cfg.numa_aware_steal;
-  const graph_workload w(cfg.graph, cfg.kernel, cfg.model);
-  detail::des_engine<graph_workload> sim(ecfg, w);
+sim_result simulate_graph(const sim_config& cfg, const graph::graph_spec& g,
+                          const graph::kernel_spec& k) {
+  GRAN_ASSERT_MSG(g.validate().empty(), "invalid graph spec");
+  const graph_workload w(g, k, cfg.model);
+  detail::des_engine<graph_workload> sim(cfg, w);
   return sim.run();
-}
-
-graph_sim_backend::graph_sim_backend(machine_model model, sim_policy policy,
-                                     std::uint64_t seed)
-    : model_(std::move(model)), policy_(policy), seed_(seed) {}
-
-std::string graph_sim_backend::name() const {
-  return "sim(" + model_.spec.name + ")";
-}
-
-core::graph_run_result graph_sim_backend::run(const graph::graph_spec& g,
-                                              const graph::kernel_spec& k,
-                                              int cores) {
-  graph_sim_config cfg;
-  cfg.model = model_;
-  cfg.cores = cores;
-  cfg.graph = g;
-  cfg.kernel = k;
-  cfg.seed = seed_;
-  cfg.policy = policy_;
-  const sim_result r = simulate_graph(cfg);
-
-  core::graph_run_result out;
-  out.m = r.measurement;
-  out.tasks = r.measurement.tasks;
-  out.edges = r.edges_signaled;
-  return out;
 }
 
 }  // namespace gran::sim

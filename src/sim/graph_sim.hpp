@@ -13,7 +13,6 @@
 
 #include <cstdint>
 
-#include "core/graph_experiment.hpp"
 #include "graph/kernels.hpp"
 #include "graph/spec.hpp"
 #include "sim/des.hpp"
@@ -21,36 +20,9 @@
 
 namespace gran::sim {
 
-struct graph_sim_config {
-  machine_model model;
-  int cores = 1;               // simulated workers (clamped to model cores)
-  graph::graph_spec graph;
-  graph::kernel_spec kernel;
-  std::uint64_t seed = 1;      // deterministic execution-time jitter
-  sim_policy policy = sim_policy::priority_local;
-  bool numa_aware_steal = true;
-};
-
 // Runs one simulation. Deterministic for a fixed config. Asserts that the
 // graph spec validates.
-sim_result simulate_graph(const graph_sim_config& cfg);
-
-// core::graph_backend adapter: the simulator as a sweep backend, mirroring
-// native_graph_backend so gran_characterize / graph_sweep work in either
-// mode.
-class graph_sim_backend final : public core::graph_backend {
- public:
-  explicit graph_sim_backend(machine_model model,
-                             sim_policy policy = sim_policy::priority_local,
-                             std::uint64_t seed = 1);
-  std::string name() const override;
-  core::graph_run_result run(const graph::graph_spec& g,
-                             const graph::kernel_spec& k, int cores) override;
-
- private:
-  machine_model model_;
-  sim_policy policy_;
-  std::uint64_t seed_;
-};
+sim_result simulate_graph(const sim_config& cfg, const graph::graph_spec& g,
+                          const graph::kernel_spec& k);
 
 }  // namespace gran::sim

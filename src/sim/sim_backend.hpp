@@ -1,6 +1,6 @@
-// core::experiment_backend over the discrete-event simulator: the figure
-// benches drive exactly the same sweep code whether measuring natively or
-// on a modeled platform.
+// core::backend over the discrete-event simulator: the figure benches, graph
+// sweeps and tools drive exactly the same sweep code whether measuring
+// natively or on a modeled platform.
 #pragma once
 
 #include <string>
@@ -10,43 +10,28 @@
 
 namespace gran::sim {
 
-class sim_backend final : public core::experiment_backend {
+class sim_backend final : public core::backend {
  public:
-  explicit sim_backend(machine_model model, std::uint64_t seed = 1)
-      : model_(std::move(model)), seed_(seed) {}
-
-  // By platform name ("haswell", "xeon-phi", ...).
-  explicit sim_backend(const std::string& platform, std::uint64_t seed = 1)
-      : sim_backend(make_machine_model(platform), seed) {}
-
-  std::string name() const override { return "sim(" + model_.spec.name + ")"; }
-
-  core::run_measurement run(const stencil::params& p, int cores) override {
-    sim_config cfg;
-    cfg.model = model_;
-    cfg.cores = cores;
-    cfg.workload = p;
-    cfg.seed = seed_++;  // fresh jitter per sample, still deterministic
-    cfg.policy = policy_;
-    cfg.workload_kind = workload_kind_;
-    cfg.numa_aware_steal = numa_aware_steal_;
-    return simulate_stencil(cfg).measurement;
+  // Run i (counting from 0) simulates with seed 1 + i: fresh jitter per
+  // sample, still deterministic.
+  sim_backend(machine_model model, core::workload w) : workload_(std::move(w)) {
+    cfg_.model = std::move(model);
   }
 
-  const machine_model& model() const noexcept { return model_; }
-  machine_model& model() noexcept { return model_; }
+  // By platform name ("haswell", "xeon-phi", ...).
+  sim_backend(const std::string& platform, core::workload w)
+      : sim_backend(make_machine_model(platform), std::move(w)) {}
+
+  std::string name() const override { return "sim(" + cfg_.model.spec.name + ")"; }
+  core::run_result run(double x, int cores) override;
 
   // Ablation knobs (see sim_config).
-  void set_policy(sim_policy p) noexcept { policy_ = p; }
-  void set_numa_aware_steal(bool aware) noexcept { numa_aware_steal_ = aware; }
-  void set_workload(sim_workload w) noexcept { workload_kind_ = w; }
+  void set_policy(sim_policy p) noexcept { cfg_.policy = p; }
+  void set_numa_aware_steal(bool aware) noexcept { cfg_.numa_aware_steal = aware; }
 
  private:
-  machine_model model_;
-  std::uint64_t seed_;
-  sim_policy policy_ = sim_policy::priority_local;
-  sim_workload workload_kind_ = sim_workload::stencil;
-  bool numa_aware_steal_ = true;
+  sim_config cfg_;  // seed: the next run's; cores: set per run
+  core::workload workload_;
 };
 
 }  // namespace gran::sim

@@ -76,6 +76,18 @@ bool cli_args::get_bool(const std::string& name, bool def) const {
   bad_option(name, *v, "not a boolean");
 }
 
+void cli_args::unknown_value(const std::string& name, const std::string& value) {
+  bad_option(name, value, "unknown");
+}
+
+std::string cli_args::get_choice(const std::string& name, const std::string& def,
+                                 const std::vector<std::string>& choices) const {
+  std::string v = get(name, def);
+  for (const auto& c : choices)
+    if (v == c) return v;
+  unknown_value(name, v);
+}
+
 std::vector<std::int64_t> cli_args::get_int_list(const std::string& name,
                                                  std::vector<std::int64_t> def) const {
   const auto v = raw(name);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,11 +30,31 @@ class cli_args {
   std::vector<std::int64_t> get_int_list(const std::string& name,
                                          std::vector<std::int64_t> def) const;
 
+  // One of `choices`, e.g. --mode=native|sim. Any other value exits 2
+  // naming the option and the value.
+  std::string get_choice(const std::string& name, const std::string& def,
+                         const std::vector<std::string>& choices) const;
+
+  // The value mapped by `from_name`, a lookup that throws
+  // std::invalid_argument on an unknown name (graph::pattern_from_name,
+  // sim::make_machine_model, ...). An unknown value exits 2 naming the
+  // option and the value.
+  template <typename F>
+  auto get_named(const std::string& name, const std::string& def, F from_name) const {
+    const std::string v = get(name, def);
+    try {
+      return from_name(v);
+    } catch (const std::invalid_argument&) {
+      unknown_value(name, v);
+    }
+  }
+
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
  private:
   std::optional<std::string> raw(const std::string& name) const;
+  [[noreturn]] static void unknown_value(const std::string& name, const std::string& value);
 
   std::string program_;
   std::map<std::string, std::string> options_;

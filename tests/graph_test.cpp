@@ -8,13 +8,14 @@
 #include <memory>
 #include <vector>
 
-#include "core/graph_experiment.hpp"
+#include "core/experiment.hpp"
 #include "graph/executor.hpp"
 #include "graph/futurize.hpp"
 #include "graph/kernels.hpp"
 #include "graph/spec.hpp"
 #include "sim/graph_sim.hpp"
 #include "sim/machine_model.hpp"
+#include "sim/sim_backend.hpp"
 #include "threads/thread_manager.hpp"
 
 namespace gran {
@@ -141,16 +142,15 @@ TEST(GraphSpec, PatternNamesRoundTrip) {
 // --- native vs simulator: one spec, two executors, identical DAG ----------
 
 TEST(GraphExecutors, NativeAndSimAgreeOnTasksAndEdges) {
-  graph::kernel_spec k;
-  k.grain_ns = 200.0;  // tiny: this test is about structure, not timing
-
-  core::native_graph_backend native("priority-local-fifo");
-  sim::graph_sim_backend sim_backend(sim::haswell_model());
-
   for (const graph::pattern kind : graph::all_patterns) {
     const graph::graph_spec g = make_spec(kind, 12, 5);
-    const core::graph_run_result n = native.run(g, k, 2);
-    const core::graph_run_result s = sim_backend.run(g, k, 4);
+    core::graph_workload w;
+    w.graph = g;
+    core::native_backend native(w, "priority-local-fifo");
+    sim::sim_backend sim_backend(sim::haswell_model(), w);
+    // Grain 200 ns: tiny, this test is about structure, not timing.
+    const core::run_result n = native.run(200.0, 2);
+    const core::run_result s = sim_backend.run(200.0, 4);
 
     EXPECT_EQ(n.tasks, g.total_tasks()) << g.describe();
     EXPECT_EQ(n.edges, g.total_edges()) << g.describe();
@@ -160,13 +160,14 @@ TEST(GraphExecutors, NativeAndSimAgreeOnTasksAndEdges) {
 }
 
 TEST(GraphExecutors, SimIsDeterministic) {
-  sim::graph_sim_config cfg;
+  sim::sim_config cfg;
   cfg.model = sim::haswell_model();
   cfg.cores = 8;
-  cfg.graph = make_spec(graph::pattern::random, 24, 8);
-  cfg.kernel.grain_ns = 5'000.0;
-  const sim::sim_result a = sim::simulate_graph(cfg);
-  const sim::sim_result b = sim::simulate_graph(cfg);
+  const graph::graph_spec g = make_spec(graph::pattern::random, 24, 8);
+  graph::kernel_spec k;
+  k.grain_ns = 5'000.0;
+  const sim::sim_result a = sim::simulate_graph(cfg, g, k);
+  const sim::sim_result b = sim::simulate_graph(cfg, g, k);
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.measurement.pending_accesses, b.measurement.pending_accesses);
   EXPECT_EQ(a.edges_signaled, b.edges_signaled);
@@ -237,17 +238,13 @@ INSTANTIATE_TEST_SUITE_P(StealHeavyPatterns, ExactlyOnce,
 TEST(GraphMetrics, TrivialHasLowerOverheadPerTaskThanRandom) {
   // At equal grain and equal task count, the edge-free pattern pays no
   // dependency management; the random DAG does. Eq. 3's to must see it.
-  graph::kernel_spec k;
-  k.grain_ns = 20'000.0;
-  sim::graph_sim_backend backend(sim::haswell_model());
+  core::graph_workload trivial, random;
+  trivial.graph = make_spec(graph::pattern::trivial, 64, 8);
+  random.graph = make_spec(graph::pattern::random, 64, 8, 4, 0.6);
+  ASSERT_GT(random.graph.total_edges(), 0u);
 
-  const graph::graph_spec trivial = make_spec(graph::pattern::trivial, 64, 8);
-  const graph::graph_spec random =
-      make_spec(graph::pattern::random, 64, 8, 4, 0.6);
-  ASSERT_GT(random.total_edges(), 0u);
-
-  const core::graph_run_result t = backend.run(trivial, k, 8);
-  const core::graph_run_result r = backend.run(random, k, 8);
+  const core::run_result t = sim::sim_backend(sim::haswell_model(), trivial).run(20'000.0, 8);
+  const core::run_result r = sim::sim_backend(sim::haswell_model(), random).run(20'000.0, 8);
   const core::metrics mt = core::compute_metrics(t.m, 0.0);
   const core::metrics mr = core::compute_metrics(r.m, 0.0);
   EXPECT_LT(mt.task_overhead_ns, mr.task_overhead_ns);

@@ -57,21 +57,15 @@ TEST(Integration, NativeAndSimBackendsAgreeOnShape) {
   stencil::params base;
   base.total_points = 200'000;
   base.time_steps = 10;
+  const core::sweep_config cfg{{250, 20'000}, 2, false};
 
-  core::sweep_config cfg;
-  cfg.base = base;
-  cfg.partition_sizes = {250, 20'000};
-  cfg.cores = 2;
-  cfg.samples = 2;
-  cfg.measure_baseline = false;
-
-  core::native_backend native;
+  core::native_backend native(base);
   core::granularity_experiment native_exp(native, cfg);
-  const auto native_points = native_exp.run();
+  const auto native_points = native_exp.run(2);
 
-  sim::sim_backend sim_be("haswell");
+  sim::sim_backend sim_be("haswell", base);
   core::granularity_experiment sim_exp(sim_be, cfg);
-  const auto sim_points = sim_exp.run();
+  const auto sim_points = sim_exp.run(2);
 
   EXPECT_GT(native_points[0].exec_time_s.mean(), native_points[1].exec_time_s.mean());
   EXPECT_GT(sim_points[0].exec_time_s.mean(), sim_points[1].exec_time_s.mean());
@@ -162,15 +156,12 @@ TEST(Integration, StencilUnderEachPolicy) {
 TEST(Integration, SimMatchesPaperHeadlineClaims) {
   // The two selector claims of §IV on a simulated Haswell sweep: both rules
   // land within a modest factor of the optimum.
-  sim::sim_backend backend("haswell");
-  core::sweep_config cfg;
-  cfg.base.total_points = 4'000'000;
-  cfg.base.time_steps = 20;
-  cfg.partition_sizes = core::granularity_sweep(160, 4'000'000, 3);
-  cfg.cores = 28;
-  cfg.samples = 1;
-  core::granularity_experiment exp(backend, cfg);
-  const auto points = exp.run();
+  stencil::params base;
+  base.total_points = 4'000'000;
+  base.time_steps = 20;
+  sim::sim_backend backend("haswell", base);
+  core::granularity_experiment exp(backend, {core::granularity_sweep(160, 4'000'000, 3), 1});
+  const auto points = exp.run(28);
 
   const auto sel = core::idle_rate_threshold(points, 0.30);
   ASSERT_TRUE(sel.has_value());

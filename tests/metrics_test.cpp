@@ -95,6 +95,11 @@ TEST(GranularitySweep, CoversRangeSorted) {
   EXPECT_LE(sizes.size(), 30u);
 }
 
+TEST(GranularitySweep, GrainAxisInWholeNanoseconds) {
+  EXPECT_EQ(granularity_sweep(1'000, 1'000'000, 2),
+            (std::vector<double>{1'000, 3'162, 10'000, 31'623, 100'000, 316'228, 1'000'000}));
+}
+
 TEST(GranularitySweep, SinglePoint) {
   const auto sizes = granularity_sweep(100, 100, 4);
   ASSERT_EQ(sizes.size(), 1u);
@@ -108,7 +113,7 @@ std::vector<sweep_point> synthetic_sweep() {
   // decreasing idle-rate then rising, and pending accesses with an interior
   // minimum.
   struct row {
-    std::size_t ps;
+    double ps;
     double t;
     double idle;
     std::uint64_t pq;
@@ -121,7 +126,7 @@ std::vector<sweep_point> synthetic_sweep() {
   std::vector<sweep_point> out;
   for (const auto& r : rows) {
     sweep_point p;
-    p.partition_size = r.ps;
+    p.x = r.ps;
     p.exec_time_s.add(r.t);
     p.m.idle_rate = r.idle;
     p.mean.pending_accesses = r.pq;
@@ -133,7 +138,7 @@ std::vector<sweep_point> synthetic_sweep() {
 TEST(Selectors, BestExecTime) {
   const auto sweep = synthetic_sweep();
   const auto best = best_exec_time(sweep);
-  EXPECT_EQ(best.partition_size, 50'000u);
+  EXPECT_EQ(best.x, 50'000.0);
   EXPECT_DOUBLE_EQ(best.exec_time_s, 1.7);
   EXPECT_DOUBLE_EQ(best.regret, 0.0);
 }
@@ -143,7 +148,7 @@ TEST(Selectors, IdleRateThresholdPicksSmallestAcceptable) {
   const auto sel = idle_rate_threshold(sweep, 0.30);
   ASSERT_TRUE(sel.has_value());
   // Smallest partition with idle <= 30% is 50,000 (10,000 has 40%).
-  EXPECT_EQ(sel->partition_size, 50'000u);
+  EXPECT_EQ(sel->x, 50'000.0);
   EXPECT_DOUBLE_EQ(sel->regret, 0.0);
 }
 
@@ -151,7 +156,7 @@ TEST(Selectors, IdleRateThresholdHigherTolerance) {
   const auto sweep = synthetic_sweep();
   const auto sel = idle_rate_threshold(sweep, 0.45);
   ASSERT_TRUE(sel.has_value());
-  EXPECT_EQ(sel->partition_size, 10'000u);
+  EXPECT_EQ(sel->x, 10'000.0);
   EXPECT_NEAR(sel->regret, 2.0 / 1.7 - 1.0, 1e-12);
 }
 
@@ -163,7 +168,7 @@ TEST(Selectors, IdleRateThresholdUnsatisfiable) {
 TEST(Selectors, PendingQueueMinimum) {
   const auto sweep = synthetic_sweep();
   const auto sel = pending_queue_minimum(sweep);
-  EXPECT_EQ(sel.partition_size, 50'000u);  // pq minimum coincides with best here
+  EXPECT_EQ(sel.x, 50'000.0);  // pq minimum coincides with best here
   EXPECT_DOUBLE_EQ(sel.regret, 0.0);
 }
 

@@ -4,15 +4,21 @@
 #include <gtest/gtest.h>
 
 #include "sim/des.hpp"
+#include "sim/graph_sim.hpp"
 #include "sim/machine_model.hpp"
 #include "sim/sim_backend.hpp"
 
 namespace gran::sim {
 namespace {
 
-sim_config make_config(const std::string& platform, int cores, std::size_t points,
-                       std::size_t partition, std::size_t steps) {
-  sim_config cfg;
+// A machine plus a heat-ring workload.
+struct stencil_run : sim_config {
+  stencil::params workload;
+};
+
+stencil_run make_config(const std::string& platform, int cores, std::size_t points,
+                        std::size_t partition, std::size_t steps) {
+  stencil_run cfg;
   cfg.model = make_machine_model(platform);
   cfg.cores = cores;
   cfg.workload.total_points = points;
@@ -20,6 +26,10 @@ sim_config make_config(const std::string& platform, int cores, std::size_t point
   cfg.workload.time_steps = steps;
   cfg.workload.normalize();
   return cfg;
+}
+
+sim_result simulate_stencil(const stencil_run& run) {
+  return sim::simulate_stencil(run, run.workload);
 }
 
 // --- machine models -----------------------------------------------------------
@@ -290,13 +300,29 @@ TEST(Simulator, ManagementScalesWithContention) {
 }
 
 
-// --- independent-task workload (the paper's micro benchmarks) -------------------
+// --- independent tasks: the `trivial` graph (the paper's micro benchmarks) ------
+
+// The heat ring's geometry as a task graph of `kind` on Haswell: one task
+// per partition per step, each charged the stencil's cost of `partition`
+// points.
+sim_result simulate_as_graph(graph::pattern kind, int cores, std::size_t points,
+                             std::size_t partition, std::size_t steps) {
+  sim_config cfg;
+  cfg.model = make_machine_model("haswell");
+  cfg.cores = cores;
+  graph::graph_spec g;
+  g.kind = kind;
+  g.width = static_cast<std::uint32_t>(points / partition);
+  g.steps = static_cast<std::uint32_t>(steps);
+  graph::kernel_spec k;
+  k.grain_ns = cfg.model.task_exec_ns(partition, 1, cores);
+  return simulate_graph(cfg, g, k);
+}
 
 TEST(Simulator, IndependentWorkloadRunsAllTasks) {
-  auto cfg = make_config("haswell", 8, 500'000, 5'000, 10);
-  cfg.workload_kind = sim_workload::independent;
-  const auto r = simulate_stencil(cfg);
+  const auto r = simulate_as_graph(graph::pattern::trivial, 8, 500'000, 5'000, 10);
   EXPECT_EQ(r.measurement.tasks, 100u * 10u);
+  EXPECT_EQ(r.edges_signaled, 0u);
 }
 
 TEST(Simulator, IndependentWorkloadShowsSameUShape) {
@@ -304,9 +330,7 @@ TEST(Simulator, IndependentWorkloadShowsSameUShape) {
   // U-shape does not depend on the stencil's dependency graph.
   const std::size_t points = 2'000'000, steps = 20;
   const auto t = [&](std::size_t partition) {
-    auto cfg = make_config("haswell", 16, points, partition, steps);
-    cfg.workload_kind = sim_workload::independent;
-    return simulate_stencil(cfg).makespan_s;
+    return simulate_as_graph(graph::pattern::trivial, 16, points, partition, steps).makespan_s;
   };
   const double fine = t(200), mid = t(50'000), coarse = t(points);
   EXPECT_LT(mid, fine);
@@ -316,12 +340,10 @@ TEST(Simulator, IndependentWorkloadShowsSameUShape) {
 TEST(Simulator, IndependentFasterOrEqualToStencilAtCoarseGrain) {
   // Without the 3-point dependency chain, coarse grains parallelize freely
   // until the task count drops below the core count.
-  auto dep = make_config("haswell", 16, 4'000'000, 2'000'000, 20);
-  auto indep = dep;
-  indep.workload_kind = sim_workload::independent;
-  // 2 partitions x 20 steps: stencil serializes steps, independent does not.
-  EXPECT_LT(simulate_stencil(indep).makespan_s * 2.0,
-            simulate_stencil(dep).makespan_s);
+  // 2 partitions x 20 steps: the ring serializes steps, trivial does not.
+  const auto ring = simulate_as_graph(graph::pattern::nearest, 16, 4'000'000, 2'000'000, 20);
+  const auto indep = simulate_as_graph(graph::pattern::trivial, 16, 4'000'000, 2'000'000, 20);
+  EXPECT_LT(indep.makespan_s * 2.0, ring.makespan_s);
 }
 
 // --- policies & ablation knobs ------------------------------------------------------
@@ -370,16 +392,35 @@ TEST(Simulator, WorkStealingConvertsAtSpawn) {
 // --- backend integration -------------------------------------------------------------
 
 TEST(SimBackend, ImplementsExperimentInterface) {
-  sim_backend backend("haswell");
-  EXPECT_EQ(backend.name(), "sim(haswell)");
   stencil::params p;
   p.total_points = 200'000;
-  p.partition_size = 10'000;
   p.time_steps = 5;
-  const auto m = backend.run(p, 8);
-  EXPECT_EQ(m.cores, 8);
-  EXPECT_EQ(m.tasks, 20u * 5u);
-  EXPECT_GT(m.exec_time_s, 0.0);
+  sim_backend backend("haswell", p);
+  EXPECT_EQ(backend.name(), "sim(haswell)");
+  const auto r = backend.run(10'000, 8);
+  EXPECT_EQ(r.x, 10'000.0);
+  EXPECT_EQ(r.m.cores, 8);
+  EXPECT_EQ(r.m.tasks, 20u * 5u);
+  EXPECT_EQ(r.tasks, 20u * 5u);
+  EXPECT_GT(r.edges, 0u);
+  EXPECT_GT(r.m.exec_time_s, 0.0);
+}
+
+TEST(SimBackend, EveryRunDrawsFreshJitter) {
+  // One seed rule for both workloads: run i uses seed + i.
+  stencil::params p;
+  p.total_points = 1'000'000;
+  p.time_steps = 10;
+  core::graph_workload g;
+  g.graph.width = 64;
+  g.graph.steps = 10;
+  for (const core::workload& w : {core::workload(p), core::workload(g)}) {
+    sim_backend backend("haswell", w);
+    const double first = backend.run(10'000, 16).m.exec_time_s;
+    EXPECT_NE(backend.run(10'000, 16).m.exec_time_s, first);
+    sim_backend again("haswell", w);
+    EXPECT_EQ(again.run(10'000, 16).m.exec_time_s, first) << "deterministic per seed";
+  }
 }
 
 }  // namespace

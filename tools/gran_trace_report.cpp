@@ -109,7 +109,7 @@ int analyze_and_print(const perf::trace_dump& dump, const cli_args& args,
 
 int run_in_process(const cli_args& args) {
   graph::graph_spec g;
-  g.kind = graph::pattern_from_name(args.get("pattern", "stencil1d"));
+  g.kind = args.get_named("pattern", "stencil1d", graph::pattern_from_name);
   g.width = static_cast<std::uint32_t>(args.get_int("width", 32));
   g.steps = static_cast<std::uint32_t>(args.get_int("steps", 16));
   g.radius = static_cast<std::uint32_t>(args.get_int("radius", 1));
@@ -122,7 +122,7 @@ int run_in_process(const cli_args& args) {
   }
 
   graph::kernel_spec k;
-  k.kind = graph::kernel_from_name(args.get("kernel", "busy_spin"));
+  k.kind = args.get_named("kernel", "busy_spin", graph::kernel_from_name);
   k.grain_ns = args.get_double("grain", 20000.0);
   k.imbalance = args.get_double("imbalance", 0.0);
 
