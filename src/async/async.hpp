@@ -3,8 +3,9 @@
 // async(f, args...) schedules f(args...) on the resolved thread manager
 // (current worker's, else the process default) and returns a future for its
 // result. This mirrors hpx::async, the API the paper's benchmark uses to
-// launch every partition update (§I-C). Callables and arguments must be
-// copyable (task bodies are type-erased into std::function).
+// launch every partition update (§I-C). Callables and arguments only need
+// to be movable: task bodies are unique_function, so a callable may capture
+// a std::unique_ptr.
 #pragma once
 
 #include <tuple>
@@ -22,7 +23,7 @@ auto async_on(thread_manager& tm, task_priority priority, F&& f, Args&&... args)
   tm.spawn(
       [st, f = std::forward<F>(f),
        args_tuple = std::make_tuple(std::forward<Args>(args)...)]() mutable {
-        detail::fulfill_state<R>(st, [&]() -> decltype(auto) {
+        detail::fulfill_state<R>(*st, [&]() -> decltype(auto) {
           return std::apply([&](auto&... unpacked) -> decltype(auto) { return f(unpacked...); },
                             args_tuple);
         });

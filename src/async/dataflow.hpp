@@ -8,64 +8,25 @@
 // a node of the execution tree, the inputs are its incoming edges.
 #pragma once
 
-#include <atomic>
-#include <memory>
+#include <cstddef>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "async/future.hpp"
 
 namespace gran {
 
+// Each call builds one node (detail::dataflow_node): the result state, the
+// callable, the inputs and an edge record per input, in one allocation.
 template <typename F, typename... Ts>
 auto dataflow_on(thread_manager& tm, task_priority priority, F&& f,
                  future<Ts>... inputs) {
   using R = std::invoke_result_t<std::decay_t<F>, future<Ts>&...>;
-  using U = typename detail::unwrap_result<R>::type;
-
-  auto st = std::make_shared<detail::shared_state<U>>();
-
-  struct control {
-    control(std::decay_t<F> fn, std::tuple<future<Ts>...> in, std::size_t n)
-        : f(std::move(fn)), inputs(std::move(in)), remaining(n) {}
-    std::decay_t<F> f;
-    std::tuple<future<Ts>...> inputs;
-    std::atomic<std::size_t> remaining;
-  };
-  auto ctl = std::make_shared<control>(std::forward<F>(f),
-                                       std::tuple<future<Ts>...>(inputs...),
-                                       sizeof...(Ts));
-
-  const auto fire = [&tm, st, ctl, priority] {
-    tm.spawn(
-        [st, ctl] {
-          auto call = [&]() -> decltype(auto) {
-            return std::apply([&](auto&... in) -> decltype(auto) { return ctl->f(in...); },
-                              ctl->inputs);
-          };
-          if constexpr (detail::unwrap_result<R>::is_future) {
-            detail::fulfill_state_unwrapped(st, call);
-          } else {
-            detail::fulfill_state<U>(st, call);
-          }
-        },
-        priority, "dataflow");
-  };
-
-  if constexpr (sizeof...(Ts) == 0) {
-    fire();
-  } else {
-    (
-        [&] {
-          GRAN_ASSERT_MSG(inputs.valid(), "dataflow over an invalid future");
-          inputs.on_ready([ctl, fire] {
-            if (ctl->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) fire();
-          });
-        }(),
-        ...);
-  }
-  return future<U>(st);
+  return detail::start_dataflow<R, sizeof...(Ts)>(
+      tm, priority, -1, "dataflow", std::forward<F>(f),
+      std::tuple<future<Ts>...>(std::move(inputs)...));
 }
 
 template <typename F, typename... Ts>
@@ -90,46 +51,9 @@ template <typename F, typename T>
 auto dataflow_all_on(thread_manager& manager, task_priority priority, F&& f,
                      std::vector<future<T>> inputs, int worker_hint = -1) {
   using R = std::invoke_result_t<std::decay_t<F>, const std::vector<future<T>>&>;
-  using U = typename detail::unwrap_result<R>::type;
-
-  auto st = std::make_shared<detail::shared_state<U>>();
-  thread_manager* tm = &manager;
-
-  struct control {
-    control(std::decay_t<F> fn, std::vector<future<T>> in)
-        : f(std::move(fn)), inputs(std::move(in)), remaining(inputs.size()) {}
-    std::decay_t<F> f;
-    std::vector<future<T>> inputs;
-    std::atomic<std::size_t> remaining;
-  };
-  auto ctl = std::make_shared<control>(std::forward<F>(f), std::move(inputs));
-
-  const auto fire = [tm, st, ctl, priority, worker_hint] {
-    tm->spawn_on(
-        worker_hint,
-        [st, ctl] {
-          auto call = [&]() -> decltype(auto) { return ctl->f(ctl->inputs); };
-          if constexpr (detail::unwrap_result<R>::is_future) {
-            detail::fulfill_state_unwrapped(st, call);
-          } else {
-            detail::fulfill_state<U>(st, call);
-          }
-        },
-        priority, "dataflow");
-  };
-
-  if (ctl->inputs.empty()) {
-    fire();
-    return future<U>(st);
-  }
-  // ctl->inputs is immutable from here on; continuations only read it.
-  for (const auto& in : ctl->inputs) {
-    GRAN_ASSERT_MSG(in.valid(), "dataflow over an invalid future");
-    in.on_ready([ctl, fire] {
-      if (ctl->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) fire();
-    });
-  }
-  return future<U>(st);
+  return detail::start_dataflow<R, detail::k_inline_edges>(
+      manager, priority, worker_hint, "dataflow", std::forward<F>(f),
+      std::move(inputs));
 }
 
 template <typename F, typename T>

@@ -41,7 +41,7 @@ class packaged_task<R(Args...)> {
   // exception. A second invocation throws std::future_error.
   void operator()(Args... args) {
     GRAN_ASSERT_MSG(valid(), "call of empty packaged_task");
-    detail::fulfill_state<R>(st_, [&]() -> decltype(auto) {
+    detail::fulfill_state<R>(*st_, [&]() -> decltype(auto) {
       return fn_(std::forward<Args>(args)...);
     });
   }

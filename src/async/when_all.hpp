@@ -18,15 +18,27 @@ namespace gran {
 
 namespace detail {
 
-struct when_all_control {
-  explicit when_all_control(std::size_t n) : remaining(n) {}
-  std::atomic<std::size_t> remaining;
-  std::shared_ptr<shared_state<void>> st = std::make_shared<shared_state<void>>();
-
-  void arrive() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) st->set_value();
-  }
+// One allocation: the result state plus an edge record per input (inline
+// up to `Inline`). It does not hold the inputs, so an input whose state
+// dies unready leaves the node not ready and frees it with its last user.
+template <std::size_t Inline>
+class when_all_node final : public join_node<void, when_all_node<Inline>, Inline> {
+ public:
+  using join_node<void, when_all_node, Inline>::join_node;
+  void fire(std::shared_ptr<when_all_node>) { this->set_value(); }
 };
+
+template <std::size_t Inline, typename ForEach>
+future<void> start_when_all(std::size_t n, ForEach&& for_each) {
+  auto node = std::make_shared<when_all_node<Inline>>(n);
+  node->start(node, [&](auto&& attach) {
+    for_each([&](const auto& f) {
+      GRAN_ASSERT_MSG(f.valid(), "when_all over an invalid future");
+      attach(*f.state());
+    });
+  });
+  return future<void>(std::move(node));
+}
 
 }  // namespace detail
 
@@ -35,51 +47,37 @@ struct when_all_control {
 template <typename T>
 future<void> when_all(const std::vector<future<T>>& futures) {
   if (futures.empty()) return make_ready_future();
-  auto ctl = std::make_shared<detail::when_all_control>(futures.size());
-  future<void> result(ctl->st);
-  for (const auto& f : futures) {
-    GRAN_ASSERT_MSG(f.valid(), "when_all over an invalid future");
-    f.on_ready([ctl] { ctl->arrive(); });
-  }
-  return result;
+  return detail::start_when_all<detail::k_inline_edges>(futures.size(), [&](auto&& each) {
+    for (const auto& f : futures) each(f);
+  });
 }
 
 template <typename... Ts>
 future<void> when_all(const future<Ts>&... futures) {
-  constexpr std::size_t n = sizeof...(Ts);
-  if constexpr (n == 0) {
+  if constexpr (sizeof...(Ts) == 0) {
     return make_ready_future();
   } else {
-    auto ctl = std::make_shared<detail::when_all_control>(n);
-    future<void> result(ctl->st);
-    (
-        [&] {
-          GRAN_ASSERT_MSG(futures.valid(), "when_all over an invalid future");
-          futures.on_ready([ctl] { ctl->arrive(); });
-        }(),
-        ...);
-    return result;
+    return detail::start_when_all<sizeof...(Ts)>(
+        sizeof...(Ts), [&](auto&& each) { (each(futures), ...); });
   }
 }
 
 // Ready when the first input is ready; the value is that input's index.
+// One record per input; none holds the inputs.
 template <typename T>
 future<std::size_t> when_any(const std::vector<future<T>>& futures) {
   GRAN_ASSERT_MSG(!futures.empty(), "when_any over an empty set");
-  struct control {
+  struct any_state : detail::shared_state<std::size_t> {
     std::atomic<bool> fired{false};
-    std::shared_ptr<detail::shared_state<std::size_t>> st =
-        std::make_shared<detail::shared_state<std::size_t>>();
   };
-  auto ctl = std::make_shared<control>();
-  future<std::size_t> result(ctl->st);
+  auto st = std::make_shared<any_state>();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     GRAN_ASSERT_MSG(futures[i].valid(), "when_any over an invalid future");
-    futures[i].on_ready([ctl, i] {
-      if (!ctl->fired.exchange(true, std::memory_order_acq_rel)) ctl->st->set_value(i);
+    futures[i].on_ready([st, i] {
+      if (!st->fired.exchange(true, std::memory_order_acq_rel)) st->set_value(i);
     });
   }
-  return result;
+  return future<std::size_t>(std::move(st));
 }
 
 }  // namespace gran

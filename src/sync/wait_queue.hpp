@@ -3,7 +3,9 @@
 // A waiter is either a task (suspended cooperatively — the worker keeps
 // running other tasks, paper §I-B) or an external OS thread (parked on a
 // condition variable). The owning primitive serializes access with its own
-// spinlock; wait_queue itself is not thread-safe.
+// spinlock; wait_queue itself is not thread-safe. An empty queue owns no
+// memory: the first waiter allocates, so primitives that are never waited
+// on (most future states) cost no allocation here.
 //
 // Task-wait protocol (race-free with task::wake, see task.hpp):
 //     this_task::prepare_suspend();
@@ -14,8 +16,8 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
+#include <vector>
 
 #include "threads/thread_manager.hpp"
 
@@ -53,8 +55,8 @@ class external_waiter {
 
 class wait_queue {
  public:
-  bool empty() const noexcept { return waiters_.empty(); }
-  std::size_t size() const noexcept { return waiters_.size(); }
+  bool empty() const noexcept { return size() == 0; }
+  std::size_t size() const noexcept { return waiters_.size() - head_; }
 
   void add_task(task* t) { waiters_.push_back(entry{t, nullptr}); }
   void add_external(external_waiter* w) { waiters_.push_back(entry{nullptr, w}); }
@@ -62,21 +64,11 @@ class wait_queue {
   // Removes a specific waiter (timeout/interrupt paths). Returns false when
   // it had already been removed by a notifier.
   bool remove(const task* t) {
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it)
-      if (it->t == t) {
-        waiters_.erase(it);
-        return true;
-      }
-    return false;
+    return erase_if([t](const entry& e) { return e.t == t; });
   }
 
   bool remove_external(const external_waiter* w) {
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it)
-      if (it->ext == w) {
-        waiters_.erase(it);
-        return true;
-      }
-    return false;
+    return erase_if([w](const entry& e) { return e.ext == w; });
   }
 
   // Wakes the oldest waiter. Returns false when the queue was empty.
@@ -85,13 +77,11 @@ class wait_queue {
   // primitive that owns this queue. Only call notify_* with the owner's
   // lock held when the owner is guaranteed to outlive the wake (e.g. a
   // shared_state kept alive by the caller's shared_ptr). Otherwise use
-  // detach_one()/detach_all() under the lock and dispatch_all() after
+  // detach()/detach_all() under the lock and dispatch_all() after
   // releasing it.
   bool notify_one() {
-    if (waiters_.empty()) return false;
-    const entry e = waiters_.front();
-    waiters_.pop_front();
-    dispatch(e);
+    if (empty()) return false;
+    dispatch(pop_front());
     return true;
   }
 
@@ -105,23 +95,23 @@ class wait_queue {
   wait_queue detach_all() {
     wait_queue q;
     q.waiters_.swap(waiters_);
+    q.head_ = head_;
+    head_ = 0;
     return q;
   }
 
   wait_queue detach(std::size_t n) {
     wait_queue q;
-    while (n-- > 0 && !waiters_.empty()) {
-      q.waiters_.push_back(waiters_.front());
-      waiters_.pop_front();
-    }
+    while (n-- > 0 && !empty()) q.waiters_.push_back(pop_front());
     return q;
   }
 
   // Wakes everything previously detached. The queue being dispatched is a
   // local copy, so no lock is needed.
   void dispatch_all() {
-    for (const entry& e : waiters_) dispatch(e);
+    for (std::size_t i = head_; i < waiters_.size(); ++i) dispatch(waiters_[i]);
     waiters_.clear();
+    head_ = 0;
   }
 
  private:
@@ -129,6 +119,30 @@ class wait_queue {
     task* t;
     external_waiter* ext;
   };
+
+  // FIFO over a vector: pops advance head_, and the popped prefix is
+  // erased once it is at least half the buffer, so both ends stay
+  // amortized O(1) and a queue that keeps some waiters does not grow.
+  entry pop_front() {
+    const entry e = waiters_[head_++];
+    if (2 * head_ >= waiters_.size()) {
+      waiters_.erase(waiters_.begin(),
+                     waiters_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return e;
+  }
+
+  template <typename Match>
+  bool erase_if(Match match) {
+    for (auto it = waiters_.begin() + static_cast<std::ptrdiff_t>(head_);
+         it != waiters_.end(); ++it)
+      if (match(*it)) {
+        waiters_.erase(it);
+        return true;
+      }
+    return false;
+  }
 
   static void dispatch(const entry& e) {
     if (e.t != nullptr) {
@@ -142,7 +156,8 @@ class wait_queue {
     }
   }
 
-  std::deque<entry> waiters_;
+  std::vector<entry> waiters_;  // [head_, size) are queued, oldest first
+  std::size_t head_ = 0;
 };
 
 }  // namespace gran

@@ -2,7 +2,10 @@
 // when_all/when_any, dataflow, unwrapping, packaged_task, exceptions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -126,6 +129,11 @@ TEST_F(AsyncTest, AsyncOnExplicitManagerAndPriority) {
   EXPECT_EQ(f.get(), 42);
 }
 
+TEST_F(AsyncTest, AsyncRunsMoveOnlyCallable) {
+  auto f = async([p = std::make_unique<int>(7)] { return *p * 6; });
+  EXPECT_EQ(f.get(), 42);
+}
+
 TEST_F(AsyncTest, PostFireAndForget) {
   std::atomic<int> hits{0};
   for (int i = 0; i < 100; ++i) post([&hits] { ++hits; });
@@ -239,6 +247,119 @@ TEST_F(AsyncTest, WhenAnyIndex) {
   slow.set_value(0);  // cleanup
 }
 
+TEST_F(AsyncTest, WhenAllOverDroppedPromiseStaysNotReady) {
+  // The inputs' states die unready: each edge is dropped, the node never
+  // fires, and it is freed with the last future (checked by LeakSanitizer).
+  auto p1 = std::make_unique<promise<int>>();
+  auto p2 = std::make_unique<promise<int>>();
+  promise<int> kept;
+  std::vector<future<int>> inputs{p1->get_future(), kept.get_future()};
+  future<void> all = when_all(inputs);
+  future<void> both = when_all(p2->get_future(), kept.get_future());
+  inputs.clear();
+  p1.reset();
+  p2.reset();
+  EXPECT_FALSE(all.is_ready());
+  EXPECT_FALSE(both.is_ready());
+  kept.set_value(1);  // the surviving edge arrives; still not ready
+  EXPECT_FALSE(all.is_ready());
+  EXPECT_FALSE(both.is_ready());
+}
+
+// --- continuation records ----------------------------------------------------------
+
+TEST_F(AsyncTest, RecordsRunInRegistrationOrderAndInlineOnceReady) {
+  promise<int> p;
+  future<int> f = p.get_future();
+  std::vector<int> order;
+  for (int i = 1; i <= 3; ++i) f.on_ready([&order, i] { order.push_back(i); });
+  f.on_ready([&order, u = std::make_unique<int>(4)] { order.push_back(*u); });
+  EXPECT_TRUE(order.empty());
+  p.set_value(0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  const std::thread::id me = std::this_thread::get_id();
+  std::thread::id ran_on;
+  f.on_ready([&] {
+    order.push_back(5);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(order.back(), 5);  // ran before on_ready returned
+  EXPECT_EQ(ran_on, me);
+}
+
+TEST_F(AsyncTest, RecordsOfADroppedStateNeverRun) {
+  bool ran = false;
+  auto p = std::make_unique<promise<int>>();
+  p->get_future().on_ready([&ran, u = std::make_unique<int>(1)] { ran = true; });
+  p.reset();  // the state dies unready: the record is freed, not run
+  EXPECT_FALSE(ran);
+}
+
+// Attacher threads race one setter: every record runs exactly once, the
+// ones attached before readiness run on the setter in each thread's attach
+// order, and the ones attached after run inline on their own thread.
+TEST_F(AsyncTest, ConcurrentAttachAndReadyStress) {
+  constexpr int k_threads = 3;
+  constexpr int k_per_thread = 64;
+  constexpr int k_rounds = 300;
+  struct ran_record {
+    int thread = -1, seq = -1;
+    bool on_setter = false;
+  };
+  static thread_local int attacher = -1;
+  int setter_runs = 0, inline_runs = 0;
+  for (int round = 0; round < k_rounds; ++round) {
+    promise<int> p;
+    const future<int> f = p.get_future();
+    std::vector<ran_record> log(k_threads * k_per_thread);
+    std::atomic<int> logged{0};
+    std::atomic<int> go{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < k_threads; ++t)
+      threads.emplace_back([&, t] {
+        attacher = t;
+        go.fetch_add(1);
+        while (go.load() < k_threads + 1) {
+        }
+        for (int s = 0; s < k_per_thread; ++s)
+          f.on_ready([&, t, s] {
+            log[logged.fetch_add(1)] = ran_record{t, s, attacher != t};
+          });
+      });
+    go.fetch_add(1);
+    while (go.load() < k_threads + 1) {
+    }
+    // Let some records land first, at a point that moves with the round.
+    for (int spin = 0; spin < (round % 16) * 64; ++spin) std::this_thread::yield();
+    p.set_value(round);
+    for (auto& th : threads) th.join();
+
+    ASSERT_EQ(logged.load(), k_threads * k_per_thread);
+    std::vector<int> seen(k_threads * k_per_thread, 0);
+    std::vector<int> last_setter_seq(k_threads, -1);
+    std::vector<int> first_inline_seq(k_threads, k_per_thread);
+    for (const ran_record& r : log) {
+      ASSERT_GE(r.thread, 0);
+      ++seen[r.thread * k_per_thread + r.seq];
+      if (r.on_setter) {
+        ASSERT_GT(r.seq, last_setter_seq[r.thread]) << "round " << round;
+        last_setter_seq[r.thread] = r.seq;
+        ++setter_runs;
+      } else {
+        first_inline_seq[r.thread] = std::min(first_inline_seq[r.thread], r.seq);
+        ++inline_runs;
+      }
+    }
+    for (const int n : seen) ASSERT_EQ(n, 1) << "round " << round;
+    for (int t = 0; t < k_threads; ++t)
+      ASSERT_LT(last_setter_seq[t], first_inline_seq[t]) << "round " << round;
+  }
+  // Both paths were exercised.
+  EXPECT_GT(setter_runs, 0);
+  EXPECT_GT(inline_runs, 0);
+  std::printf("records run by the setter: %d, inline: %d\n", setter_runs, inline_runs);
+}
+
 // --- dataflow --------------------------------------------------------------------
 
 TEST_F(AsyncTest, DataflowWaitsForAllInputs) {
@@ -294,6 +415,34 @@ TEST_F(AsyncTest, DataflowChainDepth) {
   for (int i = 0; i < 200; ++i)
     f = dataflow([](future<int>& prev) { return prev.get() + 1; }, f);
   EXPECT_EQ(f.get(), 200);
+}
+
+// Counts its live instances: a node that kept its inputs after running
+// would pin every ancestor of a held future.
+struct counted_payload {
+  static inline std::atomic<int> live{0};
+  int value;
+  explicit counted_payload(int v) : value(v) { live.fetch_add(1); }
+  counted_payload(const counted_payload& o) : value(o.value) { live.fetch_add(1); }
+  ~counted_payload() { live.fetch_sub(1); }
+};
+
+TEST_F(AsyncTest, HeldFutureDoesNotPinItsAncestors) {
+  constexpr int k = 10'000;
+  {
+    future<counted_payload> f = make_ready_future<counted_payload>(0);
+    for (int i = 0; i < k; ++i)
+      f = dataflow(
+          [](future<counted_payload>& prev) {
+            return counted_payload(prev.get().value + 1);
+          },
+          f);
+    EXPECT_EQ(f.get().value, k);
+    tm.wait_idle();  // every task, with its hold on its node, is gone
+    EXPECT_EQ(counted_payload::live.load(), 1);
+  }
+  tm.wait_idle();
+  EXPECT_EQ(counted_payload::live.load(), 0);
 }
 
 // --- packaged_task -----------------------------------------------------------------
