@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Builds the task-lifecycle tests under AddressSanitizer + UndefinedBehavior-
+# Sanitizer and runs them with leak detection on: the per-thread stack and
+# task caches (util/magazine_cache.hpp), the fiber-in-task object and the
+# per-worker liveness cells.
+#
+#   scripts/asan_check.sh [extra gtest args...]
+#
+# Uses a dedicated build tree (build-asan/) so the normal build stays warm.
+# Exits nonzero on any sanitizer report, leak or test failure.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BUILD=build-asan
+TESTS=(fiber_test task_test thread_manager_test alloc_test)
+
+cmake -B "$BUILD" -S . \
+  -DGRAN_SANITIZE=address \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DGRAN_BUILD_BENCH=OFF \
+  -DGRAN_BUILD_EXAMPLES=OFF
+cmake --build "$BUILD" -j --target "${TESTS[@]}"
+
+export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1 ${ASAN_OPTIONS:-}"
+export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
+
+status=0
+for t in "${TESTS[@]}"; do
+  echo "=== asan: $t ==="
+  "./$BUILD/tests/$t" "$@" || status=$?
+done
+
+if [[ $status -ne 0 ]]; then
+  echo "asan_check: FAILED" >&2
+  exit "$status"
+fi
+echo "asan_check: all clean"

@@ -3,7 +3,9 @@
 #   1. configure + build everything (warnings are errors via the toolchain);
 #   2. run the full ctest suite;
 #   3. rebuild the concurrency-critical tests (including the trace-ring
-#      concurrency test) under ThreadSanitizer and run them.
+#      concurrency test) under ThreadSanitizer and run them;
+#   4. rebuild the task-lifecycle tests under ASan+UBSan with leak
+#      detection and run them.
 #
 #   scripts/ci.sh [extra ctest args...]
 set -euo pipefail
@@ -190,5 +192,8 @@ echo "pmu smoke: software-only + hardware-probe (paranoid=$paranoid) ok"
 
 echo "=== ci: tsan ==="
 scripts/tsan_check.sh
+
+echo "=== ci: asan ==="
+scripts/asan_check.sh
 
 echo "ci: all green"

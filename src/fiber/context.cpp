@@ -12,10 +12,12 @@
 
 namespace gran {
 
-// ucontext build: execution_context::sp points at a heap ucontext_t.
-// A static entry shim dispatches to the requested entry function; the switch
-// argument is carried in a thread-local because makecontext only forwards
-// ints portably.
+// ucontext build: execution_context::sp points at a uctx that lives at the
+// top of the fiber's own stack, so a context costs no heap object. The block
+// ctx_make carves there holds two: the fiber's context and the anchor its
+// resumer saves itself into. A static entry shim dispatches to the requested
+// entry function; the switch argument is carried in a thread-local because
+// makecontext only forwards ints portably.
 
 namespace {
 
@@ -24,7 +26,11 @@ thread_local void* tl_switch_arg = nullptr;
 struct uctx {
   ucontext_t ctx;
   context_entry_fn entry = nullptr;
-  bool started = false;
+};
+
+struct uctx_block {
+  uctx self;     // the fiber's context; first member, so &block == &self
+  uctx resumer;  // the anchor of whoever resumes the fiber
 };
 
 void uctx_entry_shim(unsigned hi, unsigned lo) {
@@ -37,10 +43,14 @@ void uctx_entry_shim(unsigned hi, unsigned lo) {
 }  // namespace
 
 execution_context ctx_make(void* stack_base, std::size_t size, context_entry_fn entry) {
-  auto* u = new uctx;
+  const auto top = reinterpret_cast<std::uintptr_t>(stack_base) + size;
+  const auto block_addr = (top - sizeof(uctx_block)) & ~std::uintptr_t{63};
+  GRAN_ASSERT(block_addr >= reinterpret_cast<std::uintptr_t>(stack_base) + 4096);
+  auto* block = new (reinterpret_cast<void*>(block_addr)) uctx_block;
+  uctx* u = &block->self;
   GRAN_ASSERT(getcontext(&u->ctx) == 0);
   u->ctx.uc_stack.ss_sp = stack_base;
-  u->ctx.uc_stack.ss_size = size;
+  u->ctx.uc_stack.ss_size = block_addr - reinterpret_cast<std::uintptr_t>(stack_base);
   u->ctx.uc_link = nullptr;
   u->entry = entry;
   const auto addr = reinterpret_cast<std::uintptr_t>(u);
@@ -52,21 +62,20 @@ execution_context ctx_make(void* stack_base, std::size_t size, context_entry_fn 
 }
 
 void* ctx_switch(execution_context& from, execution_context& to, void* arg) {
-  // `from` may be a bare anchor (sp == nullptr) the first time a worker
-  // suspends into a fiber: lazily give it a ucontext_t shell.
-  if (from.sp == nullptr) from.sp = new uctx;
-  auto* f = static_cast<uctx*>(from.sp);
   auto* t = static_cast<uctx*>(to.sp);
   GRAN_ASSERT(t != nullptr);
+  // `from` is a bare anchor (sp == nullptr) the first time a resumer
+  // switches into a fresh context: it saves itself into the anchor that
+  // ctx_make reserved beside that context.
+  if (from.sp == nullptr) from.sp = &reinterpret_cast<uctx_block*>(t)->resumer;
+  auto* f = static_cast<uctx*>(from.sp);
   tl_switch_arg = arg;
   GRAN_ASSERT(swapcontext(&f->ctx, &t->ctx) == 0);
   return tl_switch_arg;
 }
 
-void ctx_destroy(execution_context& ctx) {
-  delete static_cast<uctx*>(ctx.sp);
-  ctx.sp = nullptr;
-}
+// Both uctx live on the stack mapping, which outlives the context.
+void ctx_destroy(execution_context& ctx) { ctx.sp = nullptr; }
 
 }  // namespace gran
 

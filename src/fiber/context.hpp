@@ -13,7 +13,8 @@
 namespace gran {
 
 // Opaque saved context: just the stack pointer of the suspended frame (the
-// ucontext build stores a pointer to a heap ucontext_t instead).
+// ucontext build stores a pointer to a ucontext_t at the top of the fiber's
+// stack instead).
 struct execution_context {
   void* sp = nullptr;
 };
@@ -25,15 +26,17 @@ using context_entry_fn = void (*)(void* param);
 // Prepares `stack_base .. stack_base+size` (grows downward from the top) so
 // that the first ctx_switch into the returned context invokes `entry` with
 // the switch argument as `param`. The stack memory must stay alive for the
-// context's lifetime.
+// context's lifetime. A null `from` anchor passed to the first ctx_switch
+// into this context is bound to storage reserved beside it (ucontext build),
+// so neither build allocates.
 execution_context ctx_make(void* stack_base, std::size_t size, context_entry_fn entry);
 
 // Suspends the current context into `from`, resumes `to`, passing `arg`.
 // Returns the argument of the switch that later resumes `from`.
 void* ctx_switch(execution_context& from, execution_context& to, void* arg);
 
-// Releases any heap state owned by a context created with ctx_make (no-op
-// for the assembly build). Safe on moved-from/empty contexts.
+// Forgets a context: it owns no storage of its own in either build. Safe on
+// moved-from/empty contexts.
 void ctx_destroy(execution_context& ctx);
 
 }  // namespace gran

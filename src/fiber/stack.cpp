@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <new>
 #include <utility>
 
@@ -40,7 +41,19 @@ fiber_stack::fiber_stack(std::size_t usable_size) {
   usable_ = static_cast<char*>(map) + page;
 }
 
+fiber_stack::fiber_stack(void* mapping, std::size_t usable_size) noexcept
+    : mapping_(mapping),
+      mapping_size_(usable_size + page_size()),
+      usable_(static_cast<char*>(mapping) + page_size()),
+      usable_size_(usable_size) {}
+
 fiber_stack::~fiber_stack() { release(); }
+
+void* fiber_stack::detach() noexcept {
+  usable_ = nullptr;
+  mapping_size_ = usable_size_ = 0;
+  return std::exchange(mapping_, nullptr);
+}
 
 fiber_stack::fiber_stack(fiber_stack&& other) noexcept
     : mapping_(std::exchange(other.mapping_, nullptr)),
@@ -68,33 +81,41 @@ void fiber_stack::release() noexcept {
   }
 }
 
+namespace {
+
+// Two magazines must fit under the cap; the depot takes the rest.
+std::size_t pool_rounds(std::size_t max_cached) {
+  return std::clamp<std::size_t>(max_cached / 2, 1, magazine_cache::k_max_rounds);
+}
+
+std::size_t pool_depot(std::size_t max_cached) {
+  const std::size_t rounds = pool_rounds(max_cached);
+  return max_cached > 2 * rounds ? (max_cached - 2 * rounds) / rounds : 0;
+}
+
+}  // namespace
+
 stack_pool::stack_pool(std::size_t stack_size, std::size_t max_cached)
-    : stack_size_(stack_size), max_cached_(max_cached) {
+    : stack_size_(stack_size),
+      usable_size_(round_up_pages(stack_size)),
+      cache_(pool_rounds(max_cached), pool_depot(max_cached), &stack_pool::unmap,
+             this) {
   GRAN_ASSERT(stack_size_ >= 4096);
+  GRAN_ASSERT(max_cached >= 2);
+}
+
+void stack_pool::unmap(void* mapping, void* pool) {
+  fiber_stack doomed(mapping, static_cast<stack_pool*>(pool)->usable_size_);
 }
 
 fiber_stack stack_pool::acquire() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!cache_.empty()) {
-      fiber_stack s = std::move(cache_.back());
-      cache_.pop_back();
-      return s;
-    }
-  }
+  if (void* mapping = cache_.pop()) return fiber_stack(mapping, usable_size_);
   return fiber_stack(stack_size_);
 }
 
 void stack_pool::release(fiber_stack stack) {
-  if (!stack.valid()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (cache_.size() < max_cached_) cache_.push_back(std::move(stack));
-  // else: let `stack` unmap on scope exit
-}
-
-std::size_t stack_pool::cached() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return cache_.size();
+  if (!stack.valid() || stack.size() != usable_size_) return;  // unmaps on exit
+  cache_.push(stack.detach());
 }
 
 }  // namespace gran

@@ -46,7 +46,7 @@ class scheduling_policy {
   virtual task* get_next(thread_manager& tm, int w) = 0;
 
   // True when every queue managed by the policy is (approximately) empty;
-  // used by shutdown and wait_idle. Implementations must also treat work
+  // a starved worker parks only then. Implementations must also treat work
   // that is mid-handoff between two structures as non-empty — the manager
   // exposes the in-flight count via thread_manager::handoffs_in_flight().
   virtual bool queues_empty(const thread_manager& tm) const = 0;

@@ -175,7 +175,7 @@ void channel_steal_policy::handle_request(thread_manager& tm, int w,
     std::size_t batch =
         r.half ? std::max<std::size_t>(1, me.deque.size() / 2) : 1;
     batch = std::min(batch, thief_slot.delivery.capacity());
-    tm.note_handoff_begin();
+    tm.note_handoff_begin(w);
     for (std::size_t i = 0; i < batch; ++i) {
       task* t = me.deque.front();
       me.deque.pop_front();
@@ -186,7 +186,7 @@ void channel_steal_policy::handle_request(thread_manager& tm, int w,
     // Announce after the last push: the thief's acquire of `served` makes
     // the whole batch visible and hands the producer role onward.
     thief_slot.served.store(pack_served(w, batch), std::memory_order_release);
-    tm.note_handoff_end();
+    tm.note_handoff_end(w);
     perf::trace_emit(tm.worker(w).trace, perf::trace_kind::steal_handoff, w,
                      static_cast<std::uint64_t>(batch),
                      perf::steal_arg2(r.thief, tm.steal_distance(w, r.thief)));
@@ -231,7 +231,7 @@ std::size_t channel_steal_policy::collect_batch(thread_manager& tm, int w) {
   const auto batch = static_cast<std::size_t>(ann & 0xffffffffull);
   worker_counters& c = tm.worker(w).counters;
 
-  tm.note_handoff_begin();
+  tm.note_handoff_begin(w);
   task* first = nullptr;
   for (std::size_t i = 0; i < batch; ++i) {
     auto t = me.delivery.pop();
@@ -239,7 +239,7 @@ std::size_t channel_steal_policy::collect_batch(thread_manager& tm, int w) {
     if (first == nullptr) first = *t;
     deque_push(me, *t);
   }
-  tm.note_handoff_end();
+  tm.note_handoff_end(w);
   // Reset before the next request: the release-push of the next token
   // orders this store before the next victim's announcement.
   me.served.store(0, std::memory_order_relaxed);

@@ -79,22 +79,22 @@ task* priority_local_policy::get_next(thread_manager& tm, int w) {
   // observe in HPX).
   // Between pop_staged and push_pending the task is in neither queue; the
   // handoff bracket keeps it visible to concurrent queues_empty scans
-  // (shutdown, parking).
+  // (parking).
   if (me.owns_high_queue) {
     if (auto d = me.high_queue.pop_staged()) {
-      tm.note_handoff_begin();
+      tm.note_handoff_begin(w);
       tm.convert(*d);
       me.high_queue.push_pending(*d);
-      tm.note_handoff_end();
+      tm.note_handoff_end(w);
       if (auto t = me.high_queue.pop_pending()) return *t;
       return nullptr;  // converted work was snatched; retry outer loop
     }
   }
   if (auto d = me.queue.pop_staged()) {
-    tm.note_handoff_begin();
+    tm.note_handoff_begin(w);
     tm.convert(*d);
     me.queue.push_pending(*d);
-    tm.note_handoff_end();
+    tm.note_handoff_end(w);
     if (auto t = me.queue.pop_pending()) return *t;
     return nullptr;
   }
@@ -177,11 +177,11 @@ task* priority_local_policy::steal_staged_from_node(thread_manager& tm, int w,
     if (d) {
       // Cross-worker staged steal: the same in-flight window as the local
       // convert, but the task also changes owner mid-transfer.
-      tm.note_handoff_begin();
+      tm.note_handoff_begin(w);
       tm.convert(*d);
       record_steal(tm, me, w, v, (*d)->id());
       me.queue.push_pending(*d);
-      tm.note_handoff_end();
+      tm.note_handoff_end(w);
       if (auto t = me.queue.pop_pending()) return *t;
       return nullptr;
     }

@@ -59,22 +59,22 @@ task* static_fifo_policy::get_next(thread_manager& tm, int w) {
   if (auto t = me.queue.pop_pending()) return *t;
   // Between pop_staged and push_pending the task is in neither queue; the
   // handoff bracket keeps it visible to concurrent queues_empty scans
-  // (shutdown, parking).
+  // (parking).
   if (me.owns_high_queue) {
     if (auto d = me.high_queue.pop_staged()) {
-      tm.note_handoff_begin();
+      tm.note_handoff_begin(w);
       tm.convert(*d);
       me.high_queue.push_pending(*d);
-      tm.note_handoff_end();
+      tm.note_handoff_end(w);
       if (auto t = me.high_queue.pop_pending()) return *t;
       return nullptr;
     }
   }
   if (auto d = me.queue.pop_staged()) {
-    tm.note_handoff_begin();
+    tm.note_handoff_begin(w);
     tm.convert(*d);
     me.queue.push_pending(*d);
-    tm.note_handoff_end();
+    tm.note_handoff_end(w);
     if (auto t = me.queue.pop_pending()) return *t;
     return nullptr;
   }

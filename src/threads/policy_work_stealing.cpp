@@ -37,9 +37,9 @@ void work_stealing_policy::init(thread_manager& tm) {
   }
 }
 
-void work_stealing_policy::push_remote(thread_manager& tm, int target, task* t) {
-  // This policy has no staged stage: attach the context right away.
-  if (!t->has_context()) tm.convert(t);
+void work_stealing_policy::push_remote(int target, task* t) {
+  // The caller may not be a worker: a new task stays staged in the inbox,
+  // and the worker that pops it attaches the context.
   deques_[static_cast<std::size_t>(target)]->inbox.push(t);
 }
 
@@ -55,7 +55,7 @@ void work_stealing_policy::enqueue_new(thread_manager& tm, int home, task* t) {
   const int target =
       static_cast<int>(rr_.fetch_add(1, std::memory_order_relaxed) %
                        static_cast<std::uint64_t>(num_workers_));
-  push_remote(tm, target, t);
+  push_remote(target, t);
 }
 
 void work_stealing_policy::enqueue_ready(thread_manager& tm, int home, task* t) {
@@ -71,7 +71,7 @@ void work_stealing_policy::enqueue_ready(thread_manager& tm, int home, task* t) 
   if (target < 0 || target >= num_workers_)
     target = static_cast<int>(rr_.fetch_add(1, std::memory_order_relaxed) %
                               static_cast<std::uint64_t>(num_workers_));
-  push_remote(tm, target, t);
+  push_remote(target, t);
 }
 
 void work_stealing_policy::enqueue_hinted(thread_manager& tm, int target, task* t) {
@@ -80,7 +80,7 @@ void work_stealing_policy::enqueue_hinted(thread_manager& tm, int target, task* 
     deques_[static_cast<std::size_t>(target)]->deque.push(t);
     return;
   }
-  push_remote(tm, target, t);
+  push_remote(target, t);
 }
 
 task* work_stealing_policy::get_next(thread_manager& tm, int w) {
@@ -95,7 +95,10 @@ task* work_stealing_policy::get_next(thread_manager& tm, int w) {
 
   // Cross-worker hand-offs addressed to this worker.
   c.extra_pending_accesses.fetch_add(1, std::memory_order_relaxed);
-  if (auto t = mine.inbox.pop()) return *t;
+  if (auto t = mine.inbox.pop()) {
+    if (!(*t)->has_context()) tm.convert(*t);
+    return *t;
+  }
   c.extra_pending_misses.fetch_add(1, std::memory_order_relaxed);
 
   // Thief side. One probe (one counted access) per steal attempt,
@@ -118,6 +121,7 @@ task* work_stealing_policy::get_next(thread_manager& tm, int w) {
     c.extra_pending_misses.fetch_add(1, std::memory_order_relaxed);
     c.extra_pending_accesses.fetch_add(1, std::memory_order_relaxed);
     if (auto t = v.inbox.pop()) {
+      if (!(*t)->has_context()) tm.convert(*t);
       const int distance = tm.steal_distance(w, victim);
       c.tasks_stolen.fetch_add(1, std::memory_order_relaxed);
       if (distance == 2)

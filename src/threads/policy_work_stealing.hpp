@@ -20,8 +20,10 @@
 // ablation baseline (bench/ablation_topology measures the difference).
 //
 // Differences from the paper's priority-local-FIFO, on purpose:
-//   * no staged stage — tasks receive their context at spawn time, so the
-//     creation cost is paid by the spawner instead of the first scheduler;
+//   * no staged stage — a worker's own spawns receive their context at
+//     spawn time, so the creation cost is paid by the spawner instead of the
+//     first scheduler (a task routed through another worker's inbox gets it
+//     from the worker that pops it);
 //   * LIFO owner order vs the paper's FIFO queues.
 // This is the contrast case for bench/ablation_scheduler ("different
 // schedulers optimize performance for different task size", paper §I-A).
@@ -76,7 +78,7 @@ class work_stealing_policy final : public scheduling_policy {
   };
 
   // Routes a task enqueued from outside worker `target` into its inbox.
-  void push_remote(thread_manager& tm, int target, task* t);
+  void push_remote(int target, task* t);
 
   std::vector<std::unique_ptr<deque_slot>> deques_;
   int num_workers_ = 0;  // cached in init(); tm's count never changes after

@@ -5,10 +5,61 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/magazine_cache.hpp"
+
+// The poisoning macros are no-ops unless the build uses AddressSanitizer.
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#define ASAN_UNPOISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace gran {
 
-std::atomic<std::uint64_t> task::next_id_{1};
+namespace {
+
+void free_task_storage(void* p, void*) { ::operator delete(p); }
+
+// Recycled task objects: 32 per magazine, 32 full magazines in the depot.
+// Constant-initialized, so it outlives every manager and task.
+constinit magazine_cache g_task_storage(32, 32, &free_task_storage, nullptr);
+
+// Ids come from per-thread ranges, one shared fetch_add per k_id_range ids.
+// They are unique, not ordered across threads; 0 means "no task".
+constexpr std::uint64_t k_id_range = 256;
+std::atomic<std::uint64_t> g_next_id_range{1};
+constinit thread_local std::uint64_t tl_next_id = 0;
+constinit thread_local std::uint64_t tl_id_end = 0;
+
+std::uint64_t next_task_id() noexcept {
+  if (tl_next_id == tl_id_end) {
+    tl_next_id = g_next_id_range.fetch_add(k_id_range, std::memory_order_relaxed);
+    tl_id_end = tl_next_id + k_id_range;
+  }
+  return tl_next_id++;
+}
+
+}  // namespace
+
+void* task::operator new(std::size_t size) {
+  if (size == sizeof(task))
+    if (void* p = g_task_storage.pop()) {
+      ASAN_UNPOISON_MEMORY_REGION(p, size);
+      return p;
+    }
+  return ::operator new(size);
+}
+
+void task::operator delete(void* p, std::size_t size) noexcept {
+  if (size != sizeof(task)) {
+    ::operator delete(p);
+    return;
+  }
+  // A use after delete of a recycled task still faults under ASan.
+  ASAN_POISON_MEMORY_REGION(p, size);
+  g_task_storage.push(p);
+}
 
 const char* to_string(task_state s) noexcept {
   switch (s) {
@@ -25,7 +76,7 @@ const char* to_string(task_state s) noexcept {
 
 task::task(body_fn body, task_priority priority, const char* description)
     : body_(std::move(body)),
-      id_(next_id_.fetch_add(1, std::memory_order_relaxed)),
+      id_(next_task_id()),
       priority_(priority),
       description_(description) {
   GRAN_ASSERT_MSG(static_cast<bool>(body_), "task requires a body");
@@ -40,7 +91,7 @@ task::~task() {
 void task::convert_to_pending(fiber_stack stack) {
   GRAN_ASSERT(state() == task_state::staged);
   GRAN_ASSERT(!fib_);
-  fib_ = std::make_unique<fiber>(std::move(stack), [this] {
+  fib_.emplace(std::move(stack), [this] {
     // An exception escaping a raw task has nowhere to go (async() wraps user
     // callables so their exceptions travel through the future instead);
     // terminate with a diagnosable message rather than unwinding into the

@@ -15,8 +15,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <optional>
 
 #include "fiber/fiber.hpp"
 #include "threads/priority.hpp"
@@ -49,6 +50,12 @@ class task {
 
   task(const task&) = delete;
   task& operator=(const task&) = delete;
+
+  // One object per task, with its fiber inside: task objects come from a
+  // process-wide magazine_cache (util/magazine_cache.hpp), so a spawn takes
+  // no lock and no heap allocation in steady state.
+  static void* operator new(std::size_t size);
+  static void operator delete(void* p, std::size_t size) noexcept;
 
   std::uint64_t id() const noexcept { return id_; }
   task_priority priority() const noexcept { return priority_; }
@@ -95,7 +102,7 @@ class task {
 
   // --- execution plumbing -----------------------------------------------
 
-  bool has_context() const noexcept { return fib_ != nullptr; }
+  bool has_context() const noexcept { return fib_.has_value(); }
   fiber& context() noexcept { return *fib_; }
   // Reclaims the stack of a terminated task for pooling.
   fiber_stack take_stack();
@@ -125,10 +132,8 @@ class task {
   void add_exec_ticks(std::uint64_t dt) noexcept { exec_ticks_ += dt; }
 
  private:
-  static std::atomic<std::uint64_t> next_id_;
-
   body_fn body_;
-  std::unique_ptr<fiber> fib_;
+  std::optional<fiber> fib_;
   std::atomic<task_state> state_{task_state::staged};
   const std::uint64_t id_;
   task_priority priority_;

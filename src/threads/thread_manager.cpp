@@ -121,18 +121,38 @@ thread_manager::~thread_manager() {
 
 std::uint64_t thread_manager::spawn(task::body_fn body, task_priority priority,
                                     const char* description) {
+  return spawn_task(-1, std::move(body), priority, description);
+}
+
+std::uint64_t thread_manager::spawn_on(int worker_hint, task::body_fn body,
+                                       task_priority priority,
+                                       const char* description) {
+  const bool valid = worker_hint >= 0 && worker_hint < num_workers();
+  return spawn_task(valid ? worker_hint : -1, std::move(body), priority, description);
+}
+
+std::uint64_t thread_manager::spawn_task(int target, task::body_fn body,
+                                         task_priority priority,
+                                         const char* description) {
   GRAN_ASSERT_MSG(running_.load(std::memory_order_acquire),
                   "spawn on a stopped thread_manager");
   auto* t = new task(std::move(body), priority, description);
   t->set_owner(this);
   const std::uint64_t id = t->id();
-  tasks_alive_.fetch_add(1, std::memory_order_acq_rel);
+  // The spawner (for provenance and the cells) is the calling worker, not a
+  // hint's target — the hint only picks the child's home queue.
   const int home = tl_manager == this ? tl_worker : -1;
+  // Counted before the enqueue: whoever retires the task must find its
+  // creation visible (DESIGN.md decision 12).
+  note_created(home);
   // Provenance is recorded before the enqueue so the spawn timestamp can
   // never trail the child's first task_begin.
   record_spawn(home, id);
-  queued_.fetch_add(1, std::memory_order_relaxed);
-  policy_->enqueue_new(*this, home, t);
+  note_queued(home, 1);
+  if (target >= 0)
+    policy_->enqueue_hinted(*this, target, t);
+  else
+    policy_->enqueue_new(*this, home, t);
   notify_work();
   // Cooperation point: a spawning worker is responsive by definition, so a
   // message-passing policy can service steal requests that piled up while
@@ -141,26 +161,43 @@ std::uint64_t thread_manager::spawn(task::body_fn body, task_priority priority,
   return id;
 }
 
-std::uint64_t thread_manager::spawn_on(int worker_hint, task::body_fn body,
-                                       task_priority priority,
-                                       const char* description) {
-  if (worker_hint < 0 || worker_hint >= num_workers())
-    return spawn(std::move(body), priority, description);
-  GRAN_ASSERT_MSG(running_.load(std::memory_order_acquire),
-                  "spawn_on a stopped thread_manager");
-  auto* t = new task(std::move(body), priority, description);
-  t->set_owner(this);
-  const std::uint64_t id = t->id();
-  tasks_alive_.fetch_add(1, std::memory_order_acq_rel);
-  // The spawner (for provenance) is the calling worker, not the hint's
-  // target — the hint only picks the child's home queue.
-  record_spawn(tl_manager == this ? tl_worker : -1, id);
-  queued_.fetch_add(1, std::memory_order_relaxed);
-  policy_->enqueue_hinted(*this, worker_hint, t);
-  notify_work();
-  const int home = tl_manager == this ? tl_worker : -1;
-  if (home >= 0) policy_->cooperate(*this, home);
-  return id;
+void thread_manager::note_created(int w) noexcept {
+  if (w >= 0)
+    bump_owned(worker(w).cells.created, std::uint64_t{1});
+  else
+    external_cells_.created.fetch_add(1, std::memory_order_acq_rel);
+}
+
+void thread_manager::note_queued(int w, std::int64_t delta) noexcept {
+  if (w >= 0)
+    bump_owned(worker(w).cells.queued, delta);
+  else
+    external_cells_.queued.fetch_add(delta, std::memory_order_relaxed);
+}
+
+std::uint64_t thread_manager::tasks_alive() const noexcept {
+  // Every retired cell first, then every created cell, all acquire: a
+  // retirement seen here makes its task's creation (and the creations of
+  // everything that task spawned) visible to the later loads, so the sum
+  // cannot wrap and cannot read zero while a task is alive.
+  std::uint64_t retired = 0;
+  for (const auto& wd : workers_) retired += wd->cells.retired.load(std::memory_order_acquire);
+  std::uint64_t created = external_cells_.created.load(std::memory_order_acquire);
+  for (const auto& wd : workers_) created += wd->cells.created.load(std::memory_order_acquire);
+  GRAN_DEBUG_ASSERT(created >= retired);
+  return created - retired;
+}
+
+std::int64_t thread_manager::queued_tasks() const noexcept {
+  std::int64_t n = external_cells_.queued.load(std::memory_order_relaxed);
+  for (const auto& wd : workers_) n += wd->cells.queued.load(std::memory_order_relaxed);
+  return std::max<std::int64_t>(0, n);
+}
+
+std::uint64_t thread_manager::handoffs_in_flight() const noexcept {
+  std::int64_t n = 0;
+  for (const auto& wd : workers_) n += wd->cells.handoffs.load(std::memory_order_acquire);
+  return static_cast<std::uint64_t>(n);
 }
 
 void thread_manager::record_spawn(int spawner, std::uint64_t id) noexcept {
@@ -229,28 +266,28 @@ void thread_manager::wake(task* t) {
 void thread_manager::schedule_ready(task* t) {
   GRAN_DEBUG_ASSERT(t->state() == task_state::pending);
   const int home = tl_manager == this ? tl_worker : -1;
-  queued_.fetch_add(1, std::memory_order_relaxed);
+  note_queued(home, 1);
   policy_->enqueue_ready(*this, home, t);
   notify_work();
 }
 
 void thread_manager::convert(task* t) {
+  GRAN_ASSERT_MSG(tl_manager == this, "convert outside this manager's workers");
   t->convert_to_pending(stacks_.acquire());
-  const int w = tl_manager == this ? tl_worker : 0;
-  if (w >= 0)
-    worker(w).counters.tasks_converted.fetch_add(1, std::memory_order_relaxed);
+  worker(tl_worker).counters.tasks_converted.fetch_add(1, std::memory_order_relaxed);
 }
 
-void thread_manager::retire(task* t) {
+void thread_manager::retire(int w, task* t) {
   stacks_.release(t->take_stack());
   delete t;
-  tasks_alive_.fetch_sub(1, std::memory_order_acq_rel);
+  // After the delete: wait_idle's caller may free what the body captured.
+  bump_owned(worker(w).cells.retired, std::uint64_t{1});
 }
 
 void thread_manager::wait_idle() {
   GRAN_ASSERT_MSG(tl_manager != this, "wait_idle from a worker would deadlock");
   backoff bo;
-  while (tasks_alive_.load(std::memory_order_acquire) != 0) bo.pause();
+  while (tasks_alive() != 0) bo.pause();
 }
 
 void thread_manager::stop() {
@@ -346,9 +383,7 @@ void thread_manager::worker_main(int w) {
 
     // Nothing anywhere: shut down once the manager stopped and no task can
     // produce more work.
-    if (!running_.load(std::memory_order_acquire) &&
-        tasks_alive_.load(std::memory_order_acquire) == 0)
-      break;
+    if (!running_.load(std::memory_order_acquire) && tasks_alive() == 0) break;
 
     // Long starvation escalates spin -> yield -> park. Parked (or slept)
     // time still counts into Σt_func, which is what makes starvation
@@ -415,7 +450,7 @@ bool thread_manager::park_idle(int w) {
 
 void thread_manager::run_phase(int w, task* t) {
   worker_data& me = worker(w);
-  queued_.fetch_sub(1, std::memory_order_relaxed);
+  bump_owned(me.cells.queued, std::int64_t{-1});
   t->begin_phase(w);
 
   tl_task = t;
@@ -528,14 +563,14 @@ void thread_manager::run_phase(int w, task* t) {
         static_cast<std::uint64_t>(tsc_clock::to_ns(t->exec_ticks())));
     t->finish();
     me.counters.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    retire(t);
+    retire(w, t);
     return;
   }
   if (t->consume_yield_request()) {
     perf::trace_emit_at(me.trace, t1, perf::trace_kind::phase_end, w, t->id(), 1);
     pmu_end_emit();
     t->requeue_after_yield();
-    queued_.fetch_add(1, std::memory_order_relaxed);
+    bump_owned(me.cells.queued, std::int64_t{1});
     policy_->enqueue_ready(*this, w, t);
     return;
   }
@@ -543,7 +578,7 @@ void thread_manager::run_phase(int w, task* t) {
   pmu_end_emit();
   if (!t->finalize_suspend()) {
     // A wake arrived while the task was switching away.
-    queued_.fetch_add(1, std::memory_order_relaxed);
+    bump_owned(me.cells.queued, std::int64_t{1});
     policy_->enqueue_ready(*this, w, t);
   }
 }

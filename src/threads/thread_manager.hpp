@@ -81,9 +81,8 @@ class thread_manager {
   void schedule_ready(task* t);
 
   // Attaches a context to a staged task (stack from this manager's pool).
+  // Only this manager's workers convert, inside get_next.
   void convert(task* t);
-  // Returns a terminated task's stack to the pool and deletes the task.
-  void retire(task* t);
 
   // --- lifecycle ----------------------------------------------------------
 
@@ -116,19 +115,18 @@ class thread_manager {
   // --- in-flight handoff accounting ---------------------------------------
   // A task mid-transfer between two queue structures (staged-steal convert,
   // channel delivery) is momentarily in *neither*, so a concurrent
-  // queues_empty scan would under-count. Transfers bracket themselves with
-  // begin/end; every policy's queues_empty treats a non-zero in-flight count
-  // as non-empty. seq_cst pairs with the scan: either the scanner sees the
-  // count, or the transfer's enqueue is already visible to it.
-  void note_handoff_begin() noexcept {
-    handoffs_.fetch_add(1, std::memory_order_seq_cst);
+  // queues_empty scan would under-count. Worker `w` brackets each transfer
+  // it makes with begin/end, on its own thread, in its own cell; every
+  // policy's queues_empty treats a non-zero sum as non-empty. The scan only
+  // decides whether a worker parks: the task in flight is in the hands of
+  // the awake worker moving it, and liveness is tasks_alive's business.
+  void note_handoff_begin(int w) noexcept {
+    bump_owned(worker(w).cells.handoffs, std::int64_t{1});
   }
-  void note_handoff_end() noexcept {
-    handoffs_.fetch_sub(1, std::memory_order_seq_cst);
+  void note_handoff_end(int w) noexcept {
+    bump_owned(worker(w).cells.handoffs, std::int64_t{-1});
   }
-  std::uint64_t handoffs_in_flight() const noexcept {
-    return handoffs_.load(std::memory_order_seq_cst);
-  }
+  std::uint64_t handoffs_in_flight() const noexcept;
 
   // Wakes parked workers (all=false: one). Public so message-passing
   // policies can signal after pushing work into another worker's channel —
@@ -150,9 +148,10 @@ class thread_manager {
   dual_queue<task*, task*>& low_priority_queue() noexcept { return low_queue_; }
   const dual_queue<task*, task*>& low_priority_queue() const noexcept { return low_queue_; }
 
-  std::uint64_t tasks_alive() const noexcept {
-    return tasks_alive_.load(std::memory_order_acquire);
-  }
+  // Tasks spawned and not yet deleted: the sum of the per-worker created
+  // and retired cells. Never zero while a task the caller can know of is
+  // alive, and never above the tasks spawned so far (DESIGN.md decision 12).
+  std::uint64_t tasks_alive() const noexcept;
 
   // Workers currently starving (their scheduler round found no work and they
   // have not found any since) — maintained edge-triggered off the same
@@ -165,13 +164,12 @@ class thread_manager {
   }
 
   // Tasks currently sitting in a queue (enqueued — spawned, woken, or
-  // re-queued after a yield — and not yet picked up by a worker). Advisory
-  // and momentarily stale; the split controller subtracts it from the
-  // starving count so workers that are merely slow to wake up to *existing*
-  // supply do not read as demand for more.
-  std::int64_t queued_tasks() const noexcept {
-    return queued_.load(std::memory_order_relaxed);
-  }
+  // re-queued after a yield — and not yet picked up by a worker): the sum
+  // of the per-worker queued cells, clamped at zero. Advisory and
+  // momentarily stale; the split controller subtracts it from the starving
+  // count so workers that are merely slow to wake up to *existing* supply
+  // do not read as demand for more.
+  std::int64_t queued_tasks() const noexcept;
 
   // Spawns that arrived through the external lane (spawn/spawn_on from a
   // non-worker thread) and external submissions an admission controller
@@ -243,6 +241,16 @@ class thread_manager {
   friend struct this_task_access;
 
   void worker_main(int w);
+  // The body of spawn and spawn_on: `target` is the placement hint, or -1.
+  std::uint64_t spawn_task(int target, task::body_fn body, task_priority priority,
+                           const char* description);
+  // Returns a terminated task's stack to the pool, deletes the task, and
+  // counts the retirement in worker `w`'s cell.
+  void retire(int w, task* t);
+  // Counts one creation or one enqueue (delta +1) / dequeue (delta -1) in
+  // the cells of `w`, or in the shared cells when w < 0.
+  void note_created(int w) noexcept;
+  void note_queued(int w, std::int64_t delta) noexcept;
   // Runs one thread-phase of `t` on worker `w`; handles termination,
   // yield re-queueing, and suspension finalization.
   void run_phase(int w, task* t);
@@ -277,8 +285,6 @@ class thread_manager {
 
   std::vector<std::thread> threads_;
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> tasks_alive_{0};
-  std::atomic<std::uint64_t> next_home_{0};  // round-robin for external spawns
   // Spawns from non-worker threads (worker spawns use the per-worker cell).
   std::atomic<std::uint64_t> external_spawns_{0};
   // External submissions refused by admission control (note_external_rejected).
@@ -287,11 +293,9 @@ class thread_manager {
   // Workers in the starving state (see starving_workers()). Own line: bumped
   // on starvation edges, read from the splittable hot loop on every poll.
   alignas(cache_line_size) std::atomic<int> starving_{0};
-  // Tasks enqueued but not yet dequeued (see queued_tasks()). Own line:
-  // bumped at every enqueue/dequeue, polled from split candidates' hot loop.
-  alignas(cache_line_size) std::atomic<std::int64_t> queued_{0};
-  // Tasks mid-transfer between queue structures (see note_handoff_begin).
-  alignas(cache_line_size) std::atomic<std::uint64_t> handoffs_{0};
+  // Creations and enqueues from threads that are not this manager's
+  // workers (read-modify-writes; see lifecycle_cells).
+  lifecycle_cells external_cells_;
 
   alignas(cache_line_size) std::atomic<int> sleepers_{0};
   std::mutex park_mutex_;

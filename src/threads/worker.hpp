@@ -97,6 +97,30 @@ struct worker_counters {
   }
 };
 
+// Task-lifecycle cells of one worker, on a line of their own. Only the
+// owning worker writes them, with a plain load and a release store
+// (bump_owned); readers sum every worker's cells on demand
+// (thread_manager::tasks_alive, queued_tasks, handoffs_in_flight). Threads
+// that are not workers share one more set and update it with
+// read-modify-writes. DESIGN.md decision 12 gives the read order that keeps
+// the liveness sum exact.
+struct alignas(cache_line_size) lifecycle_cells {
+  std::atomic<std::uint64_t> created{0};  // tasks spawned from this thread
+  std::atomic<std::uint64_t> retired{0};  // tasks deleted by this worker
+  // Enqueues by this thread minus dequeues by this worker; advisory, and
+  // negative in one cell whenever another thread queued what this one ran.
+  std::atomic<std::int64_t> queued{0};
+  // Tasks this worker holds between two queue structures
+  // (thread_manager::note_handoff_begin).
+  std::atomic<std::int64_t> handoffs{0};
+};
+
+// Adds `delta` to a cell that only the calling thread writes.
+template <typename T>
+inline void bump_owned(std::atomic<T>& cell, T delta) noexcept {
+  cell.store(cell.load(std::memory_order_relaxed) + delta, std::memory_order_release);
+}
+
 struct worker_data {
   explicit worker_data(std::size_t ring_capacity)
       : queue(ring_capacity), high_queue(ring_capacity) {}
@@ -108,6 +132,7 @@ struct worker_data {
   dual_queue<task*, task*> high_queue;
 
   worker_counters counters;
+  lifecycle_cells cells;
 
   // Distribution counters (always on; see perf/histogram.hpp):
   //   task-duration — total t_exec of each completed task, ns;

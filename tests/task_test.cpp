@@ -162,5 +162,32 @@ TEST(TaskState, PriorityNames) {
   EXPECT_STREQ(to_string(task_priority::high), "high");
 }
 
+// Task objects are recycled through a per-thread cache: the next task made
+// on this thread reuses the storage, and must start afresh.
+TEST(TaskState, RecycledObjectCarriesNothingOver) {
+  task* a = new task(noop());
+  const void* storage = a;
+  const std::uint64_t first_id = a->id();
+  a->convert_to_pending(fiber_stack(32 * 1024));
+  a->begin_phase(2);
+  a->request_yield();
+  a->context().resume();
+  a->count_phase();
+  a->add_exec_ticks(1234);
+  a->finish();
+  delete a;
+
+  task* b = new task(noop());
+  EXPECT_EQ(static_cast<const void*>(b), storage);
+  EXPECT_EQ(b->state(), task_state::staged);
+  EXPECT_FALSE(b->has_context());
+  EXPECT_EQ(b->phases(), 0u);
+  EXPECT_EQ(b->exec_ticks(), 0u);
+  EXPECT_FALSE(b->consume_yield_request());
+  EXPECT_EQ(b->last_worker(), -1);
+  EXPECT_NE(b->id(), first_id);
+  delete b;
+}
+
 }  // namespace
 }  // namespace gran

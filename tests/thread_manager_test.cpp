@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "perf/heartbeat.hpp"
 #include "sync/latch.hpp"
@@ -198,6 +201,71 @@ TEST_P(PolicyParam, SuspendWakeUnderEachPolicy) {
   tm.wake(self.load());
   tm.wait_idle();
   EXPECT_TRUE(resumed.load());
+}
+
+// Counts the live copies of a task body: the last one dies when the runtime
+// deletes the task. Dying takes a few microseconds, so a manager that
+// counted a task retired before deleting it lets wait_idle return early.
+struct body_token {
+  std::atomic<int>* live;
+  explicit body_token(std::atomic<int>& n) : live(&n) { live->fetch_add(1); }
+  body_token(body_token&& o) noexcept : live(std::exchange(o.live, nullptr)) {}
+  body_token(const body_token&) = delete;
+  body_token& operator=(const body_token&) = delete;
+  ~body_token() {
+    if (live == nullptr) return;
+    const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    live->fetch_sub(1);
+  }
+};
+
+// wait_idle() reads the per-worker liveness cells. Each task spawn_on()s its
+// children onto workers other than its own, so a task's creation and its
+// retirement land in different workers' cells; wait_idle must still return
+// only once every task is done and deleted. A concurrent reader never sees
+// more tasks alive than were spawned so far, so the sum never wraps.
+TEST_P(PolicyParam, WaitIdleNeverReturnsWhileATaskIsAlive) {
+  constexpr int workers = 4;
+  constexpr int depth = 6;
+  constexpr int tree = (1 << (depth + 1)) - 1;  // binary tree of tasks
+  thread_manager tm(test_config(workers, GetParam()));
+  std::atomic<std::uint64_t> spawned{0};
+  std::atomic<int> done{0};
+  std::atomic<int> live{0};
+  std::atomic<bool> reading{true};
+  std::atomic<bool> over_spawned{false};
+  std::thread reader([&] {
+    while (reading.load()) {
+      const std::uint64_t alive = tm.tasks_alive();
+      if (alive > spawned.load()) over_spawned = true;
+    }
+  });
+  std::function<void(int)> node = [&](int level) {
+    if (level > 0) {
+      const int me = this_task::worker_index();
+      for (int c = 1; c <= 2; ++c) {
+        spawned.fetch_add(1);
+        tm.spawn_on((me + c) % workers,
+                    [&node, level, token = body_token(live)] { node(level - 1); });
+      }
+    }
+    done.fetch_add(1);
+  };
+  for (int round = 0; round < 200; ++round) {
+    done = 0;
+    spawned.fetch_add(1);
+    tm.spawn([&node, token = body_token(live)] { node(depth); });
+    tm.wait_idle();
+    ASSERT_EQ(done.load(), tree) << GetParam() << " round " << round;
+    ASSERT_EQ(live.load(), 0) << GetParam() << " round " << round;
+    ASSERT_EQ(tm.tasks_alive(), 0u);
+  }
+  reading = false;
+  reader.join();
+  EXPECT_FALSE(over_spawned.load());
+  EXPECT_EQ(spawned.load(), 200u * tree);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyParam,
