@@ -76,17 +76,18 @@ grep -E "critical path: [0-9.]+ ms \([0-9.]+% of wall, [0-9]+ tasks\)" \
 echo "trace-report smoke: critical-path line ok"
 
 echo "=== ci: telemetry smoke ==="
-# The live telemetry plane end to end: a bench streams windowed metrics in
-# both formats, gran_top validates them (JSONL schema + Prometheus grammar),
-# then a second run takes a SIGUSR1 flight-recorder dump mid-flight and the
-# offline analyzer must load it.
+# The live telemetry plane end to end: a bench streams windowed metrics into
+# a FIFO that gran_top reads and validates, then a second run takes a
+# SIGUSR1 flight-recorder dump mid-flight and the offline analyzer must load
+# it.
+mkfifo "$trace_tmp/metrics.fifo"
+./build/tools/gran_top --check="$trace_tmp/metrics.fifo" &
+check_pid=$!
 ./build/bench/graph_sweep --pattern=stencil1d --width=8 --steps=6 \
     --grain-min=2000 --grain-max=2000 --samples=1 --workers=2 \
-    --metrics-out="$trace_tmp/metrics.jsonl" \
-    --metrics-prom="$trace_tmp/metrics.prom" \
+    --metrics-out="$trace_tmp/metrics.fifo" \
     --metrics-interval-us=20000 >/dev/null
-./build/tools/gran_top --check="$trace_tmp/metrics.jsonl"
-./build/tools/gran_top --check-prom="$trace_tmp/metrics.prom"
+wait "$check_pid"
 ./build/bench/graph_sweep --pattern=stencil1d --width=64 --steps=200 \
     --grain-min=100000 --grain-max=100000 --samples=3 --workers=2 \
     --metrics-out="$trace_tmp/flight.jsonl" \
@@ -100,7 +101,24 @@ flight_bin=$(ls "$trace_tmp"/flight-*.bin 2>/dev/null | head -1)
 [[ -n "$flight_bin" ]] \
   || { echo "telemetry smoke: no flight dump written" >&2; exit 1; }
 ./build/tools/gran_trace_report --in="$flight_bin" >/dev/null
-echo "telemetry smoke: exporters + SIGUSR1 flight dump ok"
+echo "telemetry smoke: FIFO stream + SIGUSR1 flight dump ok"
+
+echo "=== ci: FIFO reader-gone smoke ==="
+# A FIFO's reader leaves after one line: the bench must finish with exit 0
+# and one "(disabling)" warning from the sink, not die of SIGPIPE (141).
+mkfifo "$trace_tmp/gone.fifo"
+head -n 1 "$trace_tmp/gone.fifo" >/dev/null &
+head_pid=$!
+status=0
+./build/bench/graph_sweep --pattern=stencil1d --width=64 --steps=200 \
+    --grain-min=100000 --grain-max=100000 --samples=2 --workers=2 \
+    --metrics-out="$trace_tmp/gone.fifo" --metrics-interval-us=20000 \
+    >/dev/null 2>"$trace_tmp/gone.txt" || status=$?
+wait "$head_pid"
+[[ $status -eq 0 && $(grep -c "(disabling)" "$trace_tmp/gone.txt") -eq 1 ]] \
+  || { echo "FIFO reader-gone smoke: exit $status, want 0 and one warning" >&2; \
+       cat "$trace_tmp/gone.txt" >&2; exit 1; }
+echo "FIFO reader-gone smoke: exit 0, sink disabled once"
 
 echo "=== ci: env time-series smoke ==="
 # The counter time series with no flags at all: GRAN_METRICS arms the
@@ -179,13 +197,11 @@ grep -q "pmu attribution (" "$trace_tmp/pmu_hw.txt" \
   || { echo "pmu smoke: no attribution table under GRAN_PMU=1" >&2; \
        cat "$trace_tmp/pmu_hw.txt" >&2; exit 1; }
 # Streamed telemetry with the plane on: gran_top must accept the interval.pmu
-# JSONL section and the gran_pmu_* Prometheus families.
+# JSONL section.
 GRAN_PMU=sw ./build/bench/graph_sweep --pattern=stencil1d --width=8 --steps=6 \
     --grain-min=2000 --grain-max=2000 --samples=1 --workers=2 \
-    --metrics-out="$trace_tmp/pmu.jsonl" --metrics-prom="$trace_tmp/pmu.prom" \
-    --metrics-interval-us=20000 >/dev/null
+    --metrics-out="$trace_tmp/pmu.jsonl" --metrics-interval-us=20000 >/dev/null
 ./build/tools/gran_top --check="$trace_tmp/pmu.jsonl"
-./build/tools/gran_top --check-prom="$trace_tmp/pmu.prom"
 grep -q '"pmu":{' "$trace_tmp/pmu.jsonl" \
   || { echo "pmu smoke: no interval.pmu section in JSONL" >&2; exit 1; }
 echo "pmu smoke: software-only + hardware-probe (paranoid=$paranoid) ok"

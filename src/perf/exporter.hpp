@@ -1,22 +1,9 @@
-// Streaming export of window snapshots (perf/window.hpp) in two formats:
+// Streaming export of window snapshots (perf/window.hpp) as JSONL: one
+// self-contained JSON object per line per window (plus incident lines from
+// the watchdog), appended to a file or a FIFO. This is the stream
+// tools/gran_top tails and validates.
 //
-//  * Prometheus text exposition format — one full scrape body per window,
-//    rewritten atomically to a *.prom file (node_exporter textfile-collector
-//    style) or served to scrapers by whoever owns the file. Counter paths
-//    map to metric families: "/threads{worker#3}/count/cumulative" becomes
-//    `gran_threads_count_cumulative{instance="worker#3"}`; monotonic
-//    counters export as `counter`, gauges and rates as `gauge`; the derived
-//    interval signals export as `gran_window_*` gauges.
-//
-//  * JSONL — one self-contained JSON object per line per window (plus
-//    incident lines from the watchdog), written to a file, a FIFO, or a TCP
-//    socket ("tcp://host:port"). This is the stream tools/gran_top tails.
-//
-// Both writers keep NaN/Inf out of the output (JSON forbids them; scrapers
-// choke on them): non-finite values serialize as 0.
-//
-// validate_prometheus_text checks exposition-format conformance (used by
-// the tests and by `gran_top --check-prom` in CI).
+// Non-finite values serialize as 0, because JSON forbids NaN and Inf.
 #pragma once
 
 #include <cstdint>
@@ -27,33 +14,6 @@
 
 namespace gran::perf {
 
-// "/threads{worker#3}/count/cumulative" -> {"gran_threads_count_cumulative",
-// "worker#3"}. Every character outside [a-zA-Z0-9_] of the path's
-// object/name parts maps to '_'.
-struct prometheus_family {
-  std::string name;
-  std::string instance;  // empty = aggregate (no label)
-};
-prometheus_family prometheus_family_of(const std::string& counter_path);
-
-// Full exposition body for one window (HELP/TYPE per family, samples
-// grouped under them, window-derived gauges included).
-void write_prometheus_text(std::ostream& os, const window_snapshot& w);
-
-// Strict-enough grammar check of an exposition body: HELP/TYPE/comment and
-// sample lines only, valid metric/label names, parseable values, TYPE at
-// most once per family and before that family's samples. Returns false and
-// sets `error` (when non-null) to "line N: why" on the first violation.
-bool validate_prometheus_text(std::istream& is, std::string* error = nullptr);
-
-// Semantic layer on top of the grammar check: every family must carry the
-// gran_ prefix, and families this exporter is known to emit must declare
-// the expected TYPE. Unknown gran_* families are tolerated by design —
-// newer writers add families (gran_pmu_* and successors) without breaking
-// older validators; only a wrong prefix or a known family with the wrong
-// TYPE fails.
-bool validate_gran_families(std::istream& is, std::string* error = nullptr);
-
 // One JSON object (single line, newline-terminated): window metadata,
 // interval stats, counter values, monotonic rates, per-worker rows.
 void write_window_jsonl(std::ostream& os, const window_snapshot& w);
@@ -61,11 +21,12 @@ void write_window_jsonl(std::ostream& os, const window_snapshot& w);
 // Appends a minimally escaped JSON string literal (quotes included).
 void write_json_string(std::ostream& os, const std::string& s);
 
-// Where a JSONL stream goes: a regular file (append), a FIFO (append —
-// note: opening a FIFO blocks until a reader appears), or a TCP connection
-// ("tcp://host:port", connected once at open). Write failures (reader went
-// away, connection reset) disable the sink with one warning instead of
-// killing the telemetry thread.
+// Where a JSONL stream goes: a regular file or a FIFO, opened for append
+// (opening a FIFO blocks until a reader appears). A failed write, such as
+// EPIPE once a FIFO's reader has left, disables the sink with one warning.
+// A write to a FIFO with no reader also raises SIGPIPE, whose default
+// action kills the process, so the writing thread must block SIGPIPE, as
+// telemetry_session's thread does.
 class metrics_sink {
  public:
   metrics_sink() = default;
@@ -82,19 +43,12 @@ class metrics_sink {
   void write(const std::string& data);
 
   bool ok() const { return fd_ >= 0; }
-  const std::string& destination() const { return destination_; }
   std::uint64_t bytes_written() const { return bytes_; }
 
  private:
   std::string destination_;
   int fd_ = -1;
-  bool socket_ = false;
-  bool warned_ = false;
   std::uint64_t bytes_ = 0;
 };
-
-// Atomically replaces `path` with `content` (write to path+".tmp", rename),
-// so a concurrent scraper never sees a half-written exposition.
-bool write_file_atomic(const std::string& path, const std::string& content);
 
 }  // namespace gran::perf

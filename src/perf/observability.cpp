@@ -28,7 +28,6 @@ std::string knob_path(const config::settings& s, config::knob k, const char* one
 telemetry_options telemetry_options_from(const config::settings& s) {
   telemetry_options to;
   to.jsonl_out = s.text(config::metrics);
-  to.prom_out = s.text(config::metrics_prom);
   to.interval_us = s.integer(config::metrics_us);
   to.flight_prefix = knob_path(s, config::flight, "gran_flight");
   to.watchdog.stuck_ns = s.integer(config::stall_ns);
@@ -79,8 +78,6 @@ void observability_session::finish() {
     if (!t.jsonl_out.empty())
       std::cout << "(telemetry: " << g_telemetry->windows_exported()
                 << " windows streamed to " << t.jsonl_out << ")\n";
-    if (!t.prom_out.empty())
-      std::cout << "(telemetry: Prometheus exposition in " << t.prom_out << ")\n";
     if (g_telemetry->incidents_raised() > 0)
       std::cout << "(watchdog: " << g_telemetry->incidents_raised()
                 << " stall incident(s); last flight dump: "

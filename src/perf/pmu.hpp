@@ -23,9 +23,10 @@
 // perf_event_paranoid, seccomp, missing PMU (containers, VMs) all land on a
 // lower rung; the negotiated mode and the number of unavailable events are
 // recorded once in /threads/pmu/{mode,events-unavailable} and the
-// Prometheus export. The plane is OFF by default (GRAN_PMU=1 / --pmu turns
-// it on), so the disabled hot path is a single null-pointer branch in
-// run_phase (every untraced perfbench run pays it; scripts/ab.py compares it).
+// telemetry stream's interval.pmu section. The plane is OFF by default
+// (GRAN_PMU=1 / --pmu turns it on), so the disabled hot path is a single
+// null-pointer branch in run_phase (every untraced perfbench run pays it;
+// scripts/ab.py compares it).
 //
 // Readers are per worker thread: perf_event_open self-attaches to the
 // calling thread (pid=0), so create_reader() must run on the thread that

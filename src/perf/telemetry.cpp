@@ -77,9 +77,6 @@ void telemetry_session::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  // One final (short) window so samples recorded after the last periodic
-  // tick still reach the stream.
-  close_window();
   jsonl_.close();
   if (signal_installed_) {
     ::sigaction(SIGUSR1, &g_prev_usr1, nullptr);
@@ -88,6 +85,15 @@ void telemetry_session::stop() {
 }
 
 void telemetry_session::run() {
+  // Every sink write happens on this thread, the final window's included,
+  // so blocking SIGPIPE here turns a FIFO whose reader left into an EPIPE
+  // that disables the sink, not a signal that kills the process. The
+  // process-wide disposition stays the host program's.
+  sigset_t pipe;
+  sigemptyset(&pipe);
+  sigaddset(&pipe, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &pipe, nullptr);
+
   // Wake at least every 100 ms so SIGUSR1 and stop() stay responsive under
   // long window intervals.
   const auto interval = std::chrono::microseconds(opt_.interval_us);
@@ -100,7 +106,7 @@ void telemetry_session::run() {
     if (nap > std::chrono::nanoseconds::zero())
       cv_.wait_for(lock, nap < max_nap ? nap : max_nap,
                    [this] { return stop_requested_; });
-    if (stop_requested_) return;
+    if (stop_requested_) break;
 
     if (g_flight_signal.exchange(false, std::memory_order_relaxed)) {
       lock.unlock();
@@ -108,7 +114,7 @@ void telemetry_session::run() {
       if (!path.empty())
         std::fprintf(stderr, "[gran] flight dump (SIGUSR1): %s\n", path.c_str());
       lock.lock();
-      if (stop_requested_) return;
+      if (stop_requested_) break;
     }
 
     if (std::chrono::steady_clock::now() < next_tick) continue;
@@ -117,6 +123,10 @@ void telemetry_session::run() {
     close_window();
     lock.lock();
   }
+  lock.unlock();
+  // One final (short) window so samples recorded after the last periodic
+  // tick still reach the stream.
+  close_window();
 }
 
 void telemetry_session::fill_heartbeats(window_snapshot& w) {
@@ -148,11 +158,6 @@ void telemetry_session::close_window() {
     std::ostringstream line;
     write_window_jsonl(line, w);
     jsonl_.write(line.str());
-  }
-  if (!opt_.prom_out.empty()) {
-    std::ostringstream body;
-    write_prometheus_text(body, w);
-    write_file_atomic(opt_.prom_out, body.str());
   }
   windows_.fetch_add(1, std::memory_order_relaxed);
 

@@ -1,8 +1,7 @@
 // Live telemetry session: the background thread that closes a metrics
 // window every interval and fans it out —
 //
-//   window_aggregator ──► JSONL stream (file / FIFO / tcp://host:port)
-//        │                Prometheus textfile (atomic rewrite per window)
+//   window_aggregator ──► JSONL stream (file / FIFO)
 //        │
 //        └─► stall_watchdog ──► incident JSONL lines
 //                               flight-recorder dump (GRANTRC1 + report)
@@ -34,12 +33,8 @@
 namespace gran::perf {
 
 struct telemetry_options {
-  // JSONL destination: a file path (appended), a FIFO, or "tcp://host:port".
-  // Empty = no stream.
+  // JSONL destination: a file path (appended) or a FIFO. Empty = no stream.
   std::string jsonl_out;
-  // Prometheus exposition file, atomically rewritten each window. Empty =
-  // none.
-  std::string prom_out;
   std::int64_t interval_us = 100'000;  // window length
   // Flight-recorder output prefix: incidents and SIGUSR1 write
   // <prefix>-<n>.bin / .txt. Empty = flight recorder off. A non-empty
@@ -53,7 +48,7 @@ struct telemetry_options {
   window_options window;
 
   bool enabled() const {
-    return !jsonl_out.empty() || !prom_out.empty() || !flight_prefix.empty();
+    return !jsonl_out.empty() || !flight_prefix.empty();
   }
 };
 
@@ -65,7 +60,8 @@ class telemetry_session {
   telemetry_session(const telemetry_session&) = delete;
   telemetry_session& operator=(const telemetry_session&) = delete;
 
-  // Closes one final window, stops the thread, closes the sinks. Idempotent.
+  // Stops the thread, which closes one final window first, and closes the
+  // sink. Idempotent.
   void stop();
 
   // Captures a flight dump now (also invoked by the watchdog and SIGUSR1).

@@ -61,24 +61,13 @@ double window_snapshot::rate_or(const std::string& path, double def) const {
 
 window_aggregator::window_aggregator(window_options opt) : opt_(std::move(opt)) {
   if (opt_.prefixes.empty()) opt_.prefixes.push_back("/threads");
-  capture_baseline();
-}
-
-void window_aggregator::capture_baseline() {
   window_start_ns_ = now_ns();
-  prev_values_.clear();
-  prev_hists_.clear();
   for (const auto& prefix : opt_.prefixes) {
     for (auto& [path, v] : registry::instance().query_all(prefix))
       prev_values_[path] = v.value;
     for (auto& [name, snap] : histogram_registry::instance().snap_all(prefix))
       prev_hists_[name] = snap;
   }
-}
-
-void window_aggregator::reset() {
-  seq_ = 0;
-  capture_baseline();
 }
 
 window_snapshot window_aggregator::tick() {
@@ -199,8 +188,8 @@ window_snapshot window_aggregator::tick() {
   }
 
   // PMU-plane signals (perf/pmu.hpp): /threads/pmu/mode reads 0 while the
-  // plane is off, which keeps has_pmu (and the exporters' optional pmu
-  // sections) gated without a dependency on the plane itself. The task-ipc
+  // plane is off, which keeps has_pmu (and the stream's optional pmu
+  // section) gated without a dependency on the plane itself. The task-ipc
   // histogram stores milli-IPC; convert back to IPC here.
   w.pmu_mode = static_cast<int>(w.value_or("/threads/pmu/mode", 0));
   w.has_pmu = w.pmu_mode != 0;

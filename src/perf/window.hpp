@@ -103,7 +103,7 @@ struct window_snapshot {
 
   // Service-ingress interval signals (service/service.hpp). Populated only
   // while a task_service has its /service counters registered; has_service
-  // gates the exporters' optional service section.
+  // gates the stream's optional service section.
   bool has_service = false;
   double sojourn_p50_ns = 0, sojourn_p95_ns = 0, sojourn_p99_ns = 0,
          sojourn_mean_ns = 0;
@@ -150,13 +150,7 @@ class window_aggregator {
   // Closes the current window (baseline .. now) and opens the next one.
   window_snapshot tick();
 
-  // Drops all baselines and restarts window numbering (measurement-region
-  // boundaries).
-  void reset();
-
  private:
-  void capture_baseline();
-
   window_options opt_;
   std::uint64_t seq_ = 0;
   std::int64_t window_start_ns_ = 0;

@@ -52,7 +52,7 @@
 // histogram): submit() stamps the request, the first phase records
 // queue-wait (submit → first run), completion records sojourn (submit →
 // done) into /service/histogram/{queue-wait,sojourn}, which the window
-// aggregator and both exporters surface as interval p50/p95/p99.
+// aggregator and the JSONL stream surface as interval p50/p95/p99.
 //
 // A default-constructed service_config takes the GRAN_SERVICE_* knobs
 // (util/config.hpp); fields the code sets win. README's "Configuration"

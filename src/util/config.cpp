@@ -62,9 +62,7 @@ const std::array<knob_row, knob_count> k_table = {{
     {"GRAN_PMU", "pmu", kind::choice, "off", "off|0|on|1|hw|auto|sw|software",
      "per-task hardware counters: on probes the hardware, sw uses timers only"},
     {"GRAN_METRICS", "metrics-out", kind::text, "", "",
-     "JSONL window stream: a file, a FIFO or tcp://host:port"},
-    {"GRAN_METRICS_PROM", "metrics-prom", kind::text, "", "",
-     "Prometheus textfile, rewritten every window"},
+     "JSONL window stream: a file or a FIFO"},
     {"GRAN_METRICS_US", "metrics-interval-us", kind::integer, "100000", "1",
      "telemetry window length in microseconds"},
     {"GRAN_FLIGHT", "flight-prefix", kind::text, "", "",
@@ -74,6 +72,9 @@ const std::array<knob_row, knob_count> k_table = {{
     {"GRAN_SAMPLE_US", "sample-interval-us", kind::removed, "", "", k_sampler_gone},
     {"GRAN_SAMPLE_OUT", "sample-out", kind::removed, "", "", k_sampler_gone},
     {"GRAN_SAMPLE_SET", "sample-set", kind::removed, "", "", k_sampler_gone},
+    {"GRAN_METRICS_PROM", "metrics-prom", kind::removed, "", "",
+     "removed with the Prometheus textfile; the window stream is JSONL (--metrics-out / "
+     "GRAN_METRICS)"},
 }};
 
 // Decimal; the unsigned range too, so a printed 64-bit seed replays.

@@ -29,9 +29,9 @@ enum knob : std::uint8_t {
   // task service (service_config)
   service_shards, service_shard_cap, service_backlog, service_policy, service_batch,
   // observers (perf/observability.hpp)
-  trace, trace_bin, trace_buf, pmu, metrics, metrics_prom, metrics_us, flight, stall_ns,
+  trace, trace_bin, trace_buf, pmu, metrics, metrics_us, flight, stall_ns,
   // removed: setting one exits 2
-  sample_us, sample_out, sample_set,
+  sample_us, sample_out, sample_set, metrics_prom,
   knob_count
 };
 

@@ -48,7 +48,6 @@ const sample k_samples[] = {
     {config::trace_buf, "1024", "2048"},
     {config::pmu, "sw", "1"},
     {config::metrics, "env.jsonl", "cli.jsonl"},
-    {config::metrics_prom, "env.prom", "cli.prom"},
     {config::metrics_us, "250", "50"},
     {config::flight, "envfl", "clifl"},
     {config::stall_ns, "7000", "8000"},
@@ -78,7 +77,7 @@ std::string flag_entry(config::knob k, const std::string& value) {
 TEST(Config, EveryLiveKnobHasASample) {
   std::size_t live = 0;
   for (const config::knob_row& r : config::table()) live += r.type != config::kind::removed;
-  EXPECT_EQ(live, 26u);
+  EXPECT_EQ(live, 25u);
   EXPECT_EQ(std::size(k_samples), live);
   for (const sample& s : k_samples) {
     EXPECT_NE(std::string(s.env_value), row(s.k).def) << row(s.k).env;
@@ -233,6 +232,12 @@ TEST(Config, RemovedKnobExits2) {
   }
   const std::string why = rejection({}, command_line({"--sample-out=ts.csv"}));
   EXPECT_EQ(why.rfind("--sample-out was removed", 0), 0u) << why;
+  const std::string prom = rejection({"GRAN_METRICS_PROM=m.prom"}, command_line({}));
+  EXPECT_EQ(prom.rfind("GRAN_METRICS_PROM was removed with the Prometheus textfile", 0), 0u)
+      << prom;
+  EXPECT_NE(prom.find("--metrics-out"), std::string::npos) << prom;
+  const std::string prom_flag = rejection({}, command_line({"--metrics-prom=m.prom"}));
+  EXPECT_EQ(prom_flag.rfind("--metrics-prom was removed", 0), 0u) << prom_flag;
 
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EXIT(config::load({"GRAN_SAMPLE_SET=1"}, command_line({}).args()),

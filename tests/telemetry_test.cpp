@@ -1,17 +1,16 @@
 // Tests for the live telemetry plane: windowed aggregation (the runtime's
-// interval engine), the streaming exporters, the stall watchdog, and the
-// flight recorder.
+// interval engine), the JSONL exporter and its sink, the stall watchdog, and
+// the flight recorder.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -234,46 +233,6 @@ TEST(WindowAggregator, CrossChecksOfflineEq123) {
 
 // --- exporters -------------------------------------------------------------
 
-TEST(Exporter, PrometheusFamilyMapping) {
-  const auto plain = prometheus_family_of("/threads/count/cumulative");
-  EXPECT_EQ(plain.name, "gran_threads_count_cumulative");
-  EXPECT_EQ(plain.instance, "");
-  const auto inst = prometheus_family_of("/threads{worker#3}/idle-rate");
-  EXPECT_EQ(inst.name, "gran_threads_idle_rate");
-  EXPECT_EQ(inst.instance, "worker#3");
-}
-
-TEST(Exporter, PrometheusOutputValidates) {
-  thread_manager tm(test_config(2));
-  window_aggregator agg;
-  for (int i = 0; i < 200; ++i) tm.spawn([] { spin(500); });
-  tm.wait_idle();
-  const window_snapshot w = agg.tick();
-
-  std::stringstream body;
-  write_prometheus_text(body, w);
-  ASSERT_FALSE(body.str().empty());
-  EXPECT_NE(body.str().find("gran_window_idle_rate"), std::string::npos);
-  EXPECT_NE(body.str().find("gran_threads_count_cumulative"),
-            std::string::npos);
-  std::string error;
-  EXPECT_TRUE(validate_prometheus_text(body, &error)) << error;
-}
-
-TEST(Exporter, PrometheusValidatorRejectsMalformed) {
-  const auto rejects = [](const std::string& text) {
-    std::stringstream ss(text);
-    std::string error;
-    const bool ok = validate_prometheus_text(ss, &error);
-    EXPECT_FALSE(ok);
-    EXPECT_FALSE(error.empty());
-  };
-  rejects("9bad_name 1\n");                         // digit-leading name
-  rejects("metric{label=\"x} 1\n");                 // unterminated label value
-  rejects("metric one\n");                          // unparseable value
-  rejects("# TYPE m gauge\n# TYPE m counter\nm 1\n");  // duplicate TYPE
-}
-
 TEST(Exporter, JsonlWindowParsesAndCarriesWorkers) {
   thread_manager tm(test_config(2));
   window_aggregator agg;
@@ -312,11 +271,6 @@ TEST(Exporter, NonFiniteValuesSerializeAsZero) {
   ASSERT_TRUE(doc.has_value());  // NaN/Inf would make this fail to parse
   EXPECT_EQ(doc->find("interval")->number_at("idle_rate", -1), 0.0);
   EXPECT_EQ(doc->find("interval")->number_at("tasks_per_s", -1), 0.0);
-
-  std::stringstream prom;
-  write_prometheus_text(prom, w);
-  std::string error;
-  EXPECT_TRUE(validate_prometheus_text(prom, &error)) << error;
 }
 
 TEST(Exporter, MetricsSinkAppendsToFile) {
@@ -336,100 +290,6 @@ TEST(Exporter, MetricsSinkAppendsToFile) {
   EXPECT_EQ(a, "line1");
   EXPECT_EQ(b, "line2");
   std::remove(path.c_str());
-}
-
-// Minimal loopback TCP listener for the tcp://host:port sink destination.
-// The kernel completes the handshake from the listen backlog, so a
-// single-threaded connect-then-accept sequence never deadlocks.
-struct loopback_listener {
-  int fd = -1;
-  std::uint16_t port = 0;
-
-  bool start(std::uint16_t want_port = 0) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(want_port);
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 1) != 0) {
-      stop();
-      return false;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    port = ntohs(addr.sin_port);
-    return true;
-  }
-  int accept_one() { return ::accept(fd, nullptr, nullptr); }
-  void stop() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-  ~loopback_listener() { stop(); }
-};
-
-std::string recv_line(int fd) {
-  std::string line;
-  char c;
-  while (::recv(fd, &c, 1, 0) == 1) {
-    if (c == '\n') break;
-    line.push_back(c);
-  }
-  return line;
-}
-
-TEST(Exporter, MetricsSinkTcpRoundTripAndReconnect) {
-  loopback_listener listener;
-  ASSERT_TRUE(listener.start());
-  const std::string dest = "tcp://127.0.0.1:" + std::to_string(listener.port);
-
-  metrics_sink sink;
-  ASSERT_TRUE(sink.open(dest));
-  int conn = listener.accept_one();
-  ASSERT_GE(conn, 0);
-
-  // A real window line end to end: serialize, send, receive, parse.
-  window_snapshot w;
-  w.seq = 7;
-  w.dt_s = 0.1;
-  std::stringstream line;
-  write_window_jsonl(line, w);
-  sink.write(line.str());
-  const std::string got = recv_line(conn);
-  std::string err;
-  const auto doc = json_value::parse(got, &err);
-  ASSERT_TRUE(doc.has_value()) << err << " in: " << got;
-  EXPECT_EQ(doc->string_at("type"), "window");
-  EXPECT_EQ(static_cast<int>(doc->number_at("seq", -1)), 7);
-
-  // Listener goes away: the sink must disable itself (one warning, no
-  // SIGPIPE, no exception) instead of killing the telemetry thread. The
-  // first write after the close may still land in the kernel buffer; the
-  // RST it provokes fails a subsequent one.
-  ::close(conn);
-  listener.stop();
-  for (int i = 0; i < 20 && sink.ok(); ++i) {
-    sink.write(line.str());
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_FALSE(sink.ok());
-
-  // Listener restarts on the same port: a re-open() is the reconnect path
-  // (the session keeps its sink object across scraper restarts).
-  ASSERT_TRUE(listener.start(listener.port));
-  ASSERT_TRUE(sink.open(dest));
-  conn = listener.accept_one();
-  ASSERT_GE(conn, 0);
-  sink.write(line.str());
-  const std::string again = recv_line(conn);
-  const auto doc2 = json_value::parse(again, &err);
-  ASSERT_TRUE(doc2.has_value()) << err << " in: " << again;
-  EXPECT_EQ(doc2->string_at("type"), "window");
-  ::close(conn);
 }
 
 // --- stall watchdog --------------------------------------------------------
@@ -585,26 +445,42 @@ TEST(Telemetry, StreamsParseableWindowsWithHeartbeats) {
   std::remove(path.c_str());
 }
 
-TEST(Telemetry, PrometheusFileRewrittenAtomically) {
-  const std::string path = temp_path("scrape.prom");
+// A FIFO whose reader leaves fails the next write with EPIPE. The sink must
+// disable itself with one warning while the session keeps closing windows;
+// a SIGPIPE on the writing thread would kill the process instead.
+TEST(Telemetry, FifoReaderLeavingDisablesTheSinkOnce) {
+  const std::string path = temp_path("gone.fifo");
   std::remove(path.c_str());
-  telemetry_options to;
-  to.prom_out = path;
-  to.interval_us = 10'000;
-  to.install_signal_handler = false;
-  telemetry_session session(to);
-  {
-    thread_manager tm(test_config(2));
-    for (int i = 0; i < 500; ++i) tm.spawn([] { spin(1000); });
-    tm.wait_idle();
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  session.stop();
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
 
-  std::ifstream f(path);
-  ASSERT_TRUE(f.is_open());
-  std::string error;
-  EXPECT_TRUE(validate_prometheus_text(f, &error)) << error;
+  std::string first;
+  std::thread reader([&path, &first] {
+    std::ifstream f(path);  // blocks until the session opens the write end
+    std::getline(f, first);
+  });  // f's destructor closes the read end
+
+  telemetry_options to;
+  to.jsonl_out = path;
+  to.interval_us = 5'000;
+  to.install_signal_handler = false;
+  ::testing::internal::CaptureStderr();
+  telemetry_session session(to);
+  reader.join();
+  const std::uint64_t at_close = session.windows_exported();
+  for (int i = 0; i < 2000 && session.windows_exported() < at_close + 5; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_GE(session.windows_exported(), at_close + 5);
+  session.stop();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+
+  const auto doc = json_value::parse(first);
+  ASSERT_TRUE(doc.has_value()) << first;
+  EXPECT_EQ(doc->string_at("type"), "window");
+  std::size_t warnings = 0;
+  for (std::size_t at = err.find("(disabling)"); at != std::string::npos;
+       at = err.find("(disabling)", at + 1))
+    ++warnings;
+  EXPECT_EQ(warnings, 1u) << err;
   std::remove(path.c_str());
 }
 

@@ -3,12 +3,11 @@
 // A bench started with --metrics-out=FILE (or GRAN_METRICS=FILE) appends one
 // JSON object per aggregation window; this tool tails that stream and renders
 // the newest window as a per-worker table, top(1)-style. It doubles as the CI
-// conformance checker for both exporter formats.
+// conformance checker for the stream.
 //
 //   gran_top --in=gran_metrics.jsonl            render the newest window, exit
 //   gran_top --in=gran_metrics.jsonl --follow   live refresh until Ctrl-C
 //   gran_top --check=gran_metrics.jsonl         validate every JSONL line
-//   gran_top --check-prom=gran_metrics.prom     validate Prometheus exposition
 //
 // Options: --interval-ms=N (follow refresh, default 500), --incidents=N
 // (incident lines to keep in the footer, default 4), --no-clear (don't emit
@@ -26,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "perf/exporter.hpp"
 #include "util/cli.hpp"
 #include "util/minijson.hpp"
 #include "util/table.hpp"
@@ -185,30 +183,6 @@ int run_check(const std::string& path) {
   }
   std::cout << "gran_top: " << path << " OK — " << windows << " window(s), "
             << incidents << " incident(s)\n";
-  return 0;
-}
-
-int run_check_prom(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::cerr << "gran_top: cannot open " << path << "\n";
-    return 2;
-  }
-  std::string err;
-  if (!gran::perf::validate_prometheus_text(f, &err)) {
-    std::cerr << "gran_top: " << path << ": " << err << "\n";
-    return 1;
-  }
-  // Second pass: family-level semantics. Unknown gran_* families pass by
-  // design (newer writers may emit families this validator predates); a
-  // non-gran prefix or a known family with the wrong TYPE fails.
-  f.clear();
-  f.seekg(0);
-  if (!gran::perf::validate_gran_families(f, &err)) {
-    std::cerr << "gran_top: " << path << ": " << err << "\n";
-    return 1;
-  }
-  std::cout << "gran_top: " << path << " OK — valid Prometheus exposition\n";
   return 0;
 }
 
@@ -392,20 +366,17 @@ int main(int argc, char** argv) {
   if (args.has("help")) {
     std::cout
         << "usage: gran_top --in=FILE [--follow] [--interval-ms=N]\n"
-           "       gran_top --check=FILE       validate telemetry JSONL\n"
-           "       gran_top --check-prom=FILE  validate Prometheus text\n";
+           "       gran_top --check=FILE  validate telemetry JSONL\n";
     return 0;
   }
   const std::string check = args.get("check", "");
   if (!check.empty()) return run_check(check);
-  const std::string check_prom = args.get("check-prom", "");
-  if (!check_prom.empty()) return run_check_prom(check_prom);
 
   std::string in = args.get("in", "");
   if (in.empty() && !args.positional().empty()) in = args.positional().front();
   if (in.empty()) {
-    std::cerr << "gran_top: no input (use --in=FILE, --check=FILE, or "
-                 "--check-prom=FILE; --help for usage)\n";
+    std::cerr << "gran_top: no input (use --in=FILE or --check=FILE; --help for "
+                 "usage)\n";
     return 2;
   }
   return run_view(in, args.get_bool("follow", false),
