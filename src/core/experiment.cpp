@@ -33,7 +33,6 @@ run_result native_backend::run(double x, int cores) {
   cfg.policy = policy_;
 
   thread_manager tm(cfg);
-  tm.reset_counters();
   const auto before = tm.counter_totals();
 
   run_result r;

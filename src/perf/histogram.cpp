@@ -14,10 +14,15 @@ histogram_snapshot& histogram_snapshot::operator+=(const histogram_snapshot& oth
 }
 
 double histogram_snapshot::percentile(double p) const {
-  if (count == 0) return 0.0;
+  // Rank within the buckets' own total, not `count`: a snapshot taken while
+  // a record or a reset is in flight can hold a count its buckets do not
+  // add up to, and ranking past the last sample read 2^64.
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : buckets) total += b;
+  if (total == 0) return 0.0;
   if (p < 0.0) p = 0.0;
   if (p > 100.0) p = 100.0;
-  const double target = p / 100.0 * static_cast<double>(count);
+  const double target = p / 100.0 * static_cast<double>(total);
   double cum = 0.0;
   for (int i = 0; i < num_buckets; ++i) {
     const double in_bucket = static_cast<double>(buckets[static_cast<std::size_t>(i)]);
@@ -32,7 +37,7 @@ double histogram_snapshot::percentile(double p) const {
     }
     cum += in_bucket;
   }
-  return std::ldexp(1.0, num_buckets);  // unreachable with consistent counts
+  return std::ldexp(1.0, num_buckets);  // unreachable: target <= total
 }
 
 histogram_snapshot histogram_snapshot::snapshot_delta(const histogram_snapshot& prev,

@@ -4,27 +4,15 @@
 // yet been given a context — cheap to create and cheap to move across NUMA
 // domains) and one *pending* queue (threads with a context, ready to run).
 //
-// The queue records the instrumentation the paper's §II-A "Thread Pending
-// Queue Metrics" relies on: every scheduler look-up of a queue counts as an
-// access, every failed look-up as a miss. These feed the
-// /threads/count/pending-accesses and -misses performance counters
-// (Figs. 9, 10), and their staged equivalents.
+// The queue counts nothing. The paper's §II-A "Thread Pending Queue
+// Metrics" (Figs. 9, 10) count every look-up as an access and every failed
+// one as a miss; the scheduling policies count them in the probing worker's
+// cells (thread_manager::pending_probe, staged_probe).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-
 #include "queues/concurrent_fifo.hpp"
-#include "util/cacheline.hpp"
 
 namespace gran {
-
-struct queue_access_counts {
-  std::uint64_t pending_accesses = 0;
-  std::uint64_t pending_misses = 0;
-  std::uint64_t staged_accesses = 0;
-  std::uint64_t staged_misses = 0;
-};
 
 template <typename Staged, typename Pending>
 class dual_queue {
@@ -36,20 +24,9 @@ class dual_queue {
   void push_staged(Staged item) { staged_.push(std::move(item)); }
   void push_pending(Pending item) { pending_.push(std::move(item)); }
 
-  // --- consumer side (instrumented) ----------------------------------
-  std::optional<Pending> pop_pending() {
-    counts_.pending_accesses.fetch_add(1, std::memory_order_relaxed);
-    auto v = pending_.pop();
-    if (!v) counts_.pending_misses.fetch_add(1, std::memory_order_relaxed);
-    return v;
-  }
-
-  std::optional<Staged> pop_staged() {
-    counts_.staged_accesses.fetch_add(1, std::memory_order_relaxed);
-    auto v = staged_.pop();
-    if (!v) counts_.staged_misses.fetch_add(1, std::memory_order_relaxed);
-    return v;
-  }
+  // --- consumer side -------------------------------------------------
+  std::optional<Pending> pop_pending() { return pending_.pop(); }
+  std::optional<Staged> pop_staged() { return staged_.pop(); }
 
   // --- introspection ---------------------------------------------------
   std::size_t pending_size_approx() const { return pending_.size_approx(); }
@@ -58,31 +35,9 @@ class dual_queue {
     return pending_.empty_approx() && staged_.empty_approx();
   }
 
-  queue_access_counts counts() const {
-    return {counts_.pending_accesses.load(std::memory_order_relaxed),
-            counts_.pending_misses.load(std::memory_order_relaxed),
-            counts_.staged_accesses.load(std::memory_order_relaxed),
-            counts_.staged_misses.load(std::memory_order_relaxed)};
-  }
-
-  void reset_counts() {
-    counts_.pending_accesses.store(0, std::memory_order_relaxed);
-    counts_.pending_misses.store(0, std::memory_order_relaxed);
-    counts_.staged_accesses.store(0, std::memory_order_relaxed);
-    counts_.staged_misses.store(0, std::memory_order_relaxed);
-  }
-
  private:
-  struct alignas(cache_line_size) counter_block {
-    std::atomic<std::uint64_t> pending_accesses{0};
-    std::atomic<std::uint64_t> pending_misses{0};
-    std::atomic<std::uint64_t> staged_accesses{0};
-    std::atomic<std::uint64_t> staged_misses{0};
-  };
-
   concurrent_fifo<Staged> staged_;
   concurrent_fifo<Pending> pending_;
-  counter_block counts_;
 };
 
 }  // namespace gran

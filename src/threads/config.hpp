@@ -62,7 +62,9 @@ struct scheduler_config {
   // Spins before an idle worker starts OS-yielding.
   unsigned idle_spin_limit = 64;
   // Consecutive fruitless probes before an idle worker parks (or, with
-  // idle_park = false, falls back to a fixed 50 µs sleep).
+  // idle_park = false, falls back to a fixed 50 µs sleep). Each fruitless
+  // round waits at least idle_backoff::step_ns (1.5 µs), so a starved
+  // worker parks after about 0.4 ms.
   unsigned idle_yield_limit = 256;
 
   // Event-based idle parking: starved workers block on a condition variable

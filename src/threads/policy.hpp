@@ -40,15 +40,18 @@ class scheduling_policy {
   virtual void enqueue_hinted(thread_manager& tm, int target, task* t);
 
   // Finds the next task for worker `w`: pops local work, converts staged
-  // descriptions, or steals. Returns nullptr when nothing is available
-  // anywhere. A returned task is in the pending state and owned by the
-  // caller.
+  // descriptions, or steals, and takes low-priority work last
+  // (thread_manager::pop_low_priority). Every queue look-up is counted
+  // through thread_manager::pending_probe or staged_probe. Returns nullptr
+  // when nothing is available anywhere. A returned task is in the pending
+  // state and owned by the caller.
   virtual task* get_next(thread_manager& tm, int w) = 0;
 
   // True when every queue managed by the policy is (approximately) empty;
   // a starved worker parks only then. Implementations must also treat work
-  // that is mid-handoff between two structures as non-empty — the manager
-  // exposes the in-flight count via thread_manager::handoffs_in_flight().
+  // that is mid-handoff between two structures, or in the low-priority
+  // queue, as non-empty: they end with
+  // thread_manager::low_priority_and_handoffs_empty().
   virtual bool queues_empty(const thread_manager& tm) const = 0;
 
   // Cooperation point: called from worker `w`'s own thread at moments the

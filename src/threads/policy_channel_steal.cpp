@@ -137,7 +137,7 @@ void channel_steal_policy::maybe_send_request(thread_manager& tm, int w) {
   worker_counters& c = tm.worker(w).counters;
   me.last_refill_dry =
       me.had_refill &&
-      c.tasks_spawned.load(std::memory_order_relaxed) == me.spawns_at_refill;
+      c.cell(counter_event::created).load(std::memory_order_relaxed) == me.spawns_at_refill;
   steal_request r;
   r.thief = w;
   r.start = me.nonce++ % static_cast<std::uint32_t>(num_workers_ - 1);
@@ -145,7 +145,7 @@ void channel_steal_policy::maybe_send_request(thread_manager& tm, int w) {
   r.half = request_half(mode_, me.last_refill_dry);
   me.outstanding = true;
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  c.steal_req_sent.fetch_add(1, std::memory_order_relaxed);
+  c.bump(counter_event::steal_req_sent);
   send_to_hop(tm, w, r);
 }
 
@@ -201,10 +201,10 @@ void channel_steal_policy::handle_request(thread_manager& tm, int w,
   if (r.hops + 1 < num_workers_ - 1) {
     steal_request fwd = r;
     ++fwd.hops;
-    c.steal_req_forwarded.fetch_add(1, std::memory_order_relaxed);
+    c.bump(counter_event::steal_req_forwarded);
     send_to_hop(tm, w, fwd);
   } else {
-    c.steal_req_declined.fetch_add(1, std::memory_order_relaxed);
+    c.bump(counter_event::steal_req_declined);
     const bool ok =
         thief_slot.req_from[static_cast<std::size_t>(r.thief)]->push(r);
     GRAN_ASSERT_MSG(ok, "decline ring overflow (token discipline broken)");
@@ -229,7 +229,6 @@ std::size_t channel_steal_policy::collect_batch(thread_manager& tm, int w) {
   if (ann == 0) return 0;
   const int victim = static_cast<int>(ann >> 32) - 1;
   const auto batch = static_cast<std::size_t>(ann & 0xffffffffull);
-  worker_counters& c = tm.worker(w).counters;
 
   tm.note_handoff_begin(w);
   task* first = nullptr;
@@ -246,21 +245,15 @@ std::size_t channel_steal_policy::collect_batch(thread_manager& tm, int w) {
   me.outstanding = false;
   me.blocked = false;
   me.had_refill = true;
-  me.spawns_at_refill = c.tasks_spawned.load(std::memory_order_relaxed);
+  me.spawns_at_refill =
+      tm.worker(w).counters.cell(counter_event::created).load(std::memory_order_relaxed);
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
 
-  const int distance = tm.steal_distance(w, victim);
-  c.tasks_stolen.fetch_add(batch, std::memory_order_relaxed);
-  if (distance == 2)
-    c.tasks_stolen_remote.fetch_add(batch, std::memory_order_relaxed);
-  perf::trace_emit(tm.worker(w).trace, perf::trace_kind::steal, w,
-                   first != nullptr ? first->id() : 0,
-                   perf::steal_arg2(victim, distance));
+  tm.record_steal(w, victim, first != nullptr ? first->id() : 0, batch);
   return batch;
 }
 
 task* channel_steal_policy::get_next(thread_manager& tm, int w) {
-  worker_counters& c = tm.worker(w).counters;
   worker_slot& me = *slots_[static_cast<std::size_t>(w)];
 
   // Victim duties first — the scheduler-round cooperation point.
@@ -268,29 +261,20 @@ task* channel_steal_policy::get_next(thread_manager& tm, int w) {
   // A delivery answering an earlier request refills the private deque.
   collect_batch(tm, w);
 
-  // Owner side: LIFO pop of the private deque. Counted as pending-queue
-  // accesses so the paper's queue metrics stay comparable across policies.
-  c.extra_pending_accesses.fetch_add(1, std::memory_order_relaxed);
-  if (task* t = deque_pop_back(me)) {
+  // Owner side: LIFO pop of the private deque, then the cross-thread
+  // enqueues addressed to this worker. Both count as pending-queue probes,
+  // so the paper's queue metrics stay comparable across policies.
+  if (task* t = tm.pending_probe(w, deque_pop_back(me))) {
     if (!t->has_context()) tm.convert(t);
     return t;
   }
-  c.extra_pending_misses.fetch_add(1, std::memory_order_relaxed);
-
-  // Cross-thread enqueues addressed to this worker.
-  c.extra_pending_accesses.fetch_add(1, std::memory_order_relaxed);
-  if (auto t = me.inbox.pop()) {
+  if (auto t = tm.pending_probe(w, me.inbox.pop())) {
     if (!(*t)->has_context()) tm.convert(*t);
     return *t;
   }
-  c.extra_pending_misses.fetch_add(1, std::memory_order_relaxed);
 
   // Low-priority work last, as in every policy.
-  if (auto t = tm.low_priority_queue().pop_pending()) return *t;
-  if (auto d = tm.low_priority_queue().pop_staged()) {
-    tm.convert(*d);
-    return *d;
-  }
+  if (task* t = tm.pop_low_priority(w)) return t;
 
   // Nothing local: become a thief. A declined token blocks requesting
   // until the manager observes queued work again.
@@ -310,10 +294,8 @@ bool channel_steal_policy::queues_empty(const thread_manager& tm) const {
     if (!s->delivery.empty()) return false;
     if (s->served.load(std::memory_order_acquire) != 0) return false;
   }
-  // Tasks mid-transfer between structures (serve/collect brackets above,
-  // and the other policies' staged-steal window).
-  if (tm.handoffs_in_flight() != 0) return false;
-  return tm.low_priority_queue().empty_approx();
+  // Tasks mid-transfer between structures: the serve/collect brackets above.
+  return tm.low_priority_and_handoffs_empty();
 }
 
 }  // namespace gran

@@ -138,7 +138,7 @@ class channel_steal_policy final : public scheduling_policy {
     bool blocked = false;          // my token came back declined
     bool last_refill_dry = false;  // previous refill spawned nothing
     bool had_refill = false;       // at least one batch received so far
-    std::uint64_t spawns_at_refill = 0;  // tasks_spawned cell at last refill
+    std::uint64_t spawns_at_refill = 0;  // own `created` cell at last refill
   };
 
   void push_remote(thread_manager& tm, int target, task* t);

@@ -1,6 +1,5 @@
 #include "threads/policy_priority_local.hpp"
 
-#include "perf/trace.hpp"
 #include "threads/task.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/assert.hpp"
@@ -71,8 +70,8 @@ task* priority_local_policy::get_next(thread_manager& tm, int w) {
 
   // 1. Local pending (high-priority queue first).
   if (me.owns_high_queue)
-    if (auto t = me.high_queue.pop_pending()) return *t;
-  if (auto t = me.queue.pop_pending()) return *t;
+    if (auto t = tm.pending_probe(w, me.high_queue.pop_pending())) return *t;
+  if (auto t = tm.pending_probe(w, me.queue.pop_pending())) return *t;
 
   // 2. Local staged: convert to pending, then take from the pending queue
   // (the staged->pending->run round trip is what the paper's queue counters
@@ -81,21 +80,21 @@ task* priority_local_policy::get_next(thread_manager& tm, int w) {
   // handoff bracket keeps it visible to concurrent queues_empty scans
   // (parking).
   if (me.owns_high_queue) {
-    if (auto d = me.high_queue.pop_staged()) {
+    if (auto d = tm.staged_probe(w, me.high_queue.pop_staged())) {
       tm.note_handoff_begin(w);
       tm.convert(*d);
       me.high_queue.push_pending(*d);
       tm.note_handoff_end(w);
-      if (auto t = me.high_queue.pop_pending()) return *t;
+      if (auto t = tm.pending_probe(w, me.high_queue.pop_pending())) return *t;
       return nullptr;  // converted work was snatched; retry outer loop
     }
   }
-  if (auto d = me.queue.pop_staged()) {
+  if (auto d = tm.staged_probe(w, me.queue.pop_staged())) {
     tm.note_handoff_begin(w);
     tm.convert(*d);
     me.queue.push_pending(*d);
     tm.note_handoff_end(w);
-    if (auto t = me.queue.pop_pending()) return *t;
+    if (auto t = tm.pending_probe(w, me.queue.pop_pending())) return *t;
     return nullptr;
   }
 
@@ -122,12 +121,7 @@ task* priority_local_policy::get_next(thread_manager& tm, int w) {
   }
 
   // 7. Low-priority work only when everything else is exhausted.
-  if (auto t = tm.low_priority_queue().pop_pending()) return *t;
-  if (auto d = tm.low_priority_queue().pop_staged()) {
-    tm.convert(*d);
-    return *d;
-  }
-  return nullptr;
+  return tm.pop_low_priority(w);
 }
 
 namespace {
@@ -145,19 +139,6 @@ std::size_t ring_start(const std::vector<int>& members, int w, std::uint32_t rot
   return (start + rot) % n;
 }
 
-// Counts a successful steal by `w` from `v`: the stolen total (bumped
-// first — the derived stolen-local counter must never observe remote >
-// stolen), the cross-domain subset, and the distance-annotated trace event.
-void record_steal(thread_manager& tm, worker_data& me, int w, int v,
-                  std::uint64_t task_id) {
-  const int distance = tm.steal_distance(w, v);
-  me.counters.tasks_stolen.fetch_add(1, std::memory_order_relaxed);
-  if (distance == 2)
-    me.counters.tasks_stolen_remote.fetch_add(1, std::memory_order_relaxed);
-  perf::trace_emit(me.trace, perf::trace_kind::steal, w, task_id,
-                   perf::steal_arg2(v, distance));
-}
-
 }  // namespace
 
 task* priority_local_policy::steal_staged_from_node(thread_manager& tm, int w,
@@ -172,17 +153,17 @@ task* priority_local_policy::steal_staged_from_node(thread_manager& tm, int w,
     if (v == w) continue;
     worker_data& victim = tm.worker(v);
     std::optional<task*> d;
-    if (victim.owns_high_queue) d = victim.high_queue.pop_staged();
-    if (!d) d = victim.queue.pop_staged();
+    if (victim.owns_high_queue) d = tm.staged_probe(w, victim.high_queue.pop_staged());
+    if (!d) d = tm.staged_probe(w, victim.queue.pop_staged());
     if (d) {
       // Cross-worker staged steal: the same in-flight window as the local
       // convert, but the task also changes owner mid-transfer.
       tm.note_handoff_begin(w);
       tm.convert(*d);
-      record_steal(tm, me, w, v, (*d)->id());
+      tm.record_steal(w, v, (*d)->id());
       me.queue.push_pending(*d);
       tm.note_handoff_end(w);
-      if (auto t = me.queue.pop_pending()) return *t;
+      if (auto t = tm.pending_probe(w, me.queue.pop_pending())) return *t;
       return nullptr;
     }
   }
@@ -195,16 +176,15 @@ task* priority_local_policy::steal_pending_from_node(thread_manager& tm, int w,
   const std::size_t n = members.size();
   if (n == 0) return nullptr;
   const std::size_t start = ring_start(members, w, rot);
-  worker_data& me = tm.worker(w);
   for (std::size_t k = 0; k < n; ++k) {
     const int v = members[(start + k) % n];
     if (v == w) continue;
     worker_data& victim = tm.worker(v);
     std::optional<task*> t;
-    if (victim.owns_high_queue) t = victim.high_queue.pop_pending();
-    if (!t) t = victim.queue.pop_pending();
+    if (victim.owns_high_queue) t = tm.pending_probe(w, victim.high_queue.pop_pending());
+    if (!t) t = tm.pending_probe(w, victim.queue.pop_pending());
     if (t) {
-      record_steal(tm, me, w, v, (*t)->id());
+      tm.record_steal(w, v, (*t)->id());
       return *t;
     }
   }
@@ -216,10 +196,7 @@ bool priority_local_policy::queues_empty(const thread_manager& tm) const {
     const worker_data& wd = tm.worker(w);
     if (!wd.queue.empty_approx() || !wd.high_queue.empty_approx()) return false;
   }
-  // Tasks mid-transfer between queues (staged->pending convert, staged
-  // steal) are momentarily in neither structure.
-  if (tm.handoffs_in_flight() != 0) return false;
-  return tm.low_priority_queue().empty_approx();
+  return tm.low_priority_and_handoffs_empty();
 }
 
 }  // namespace gran

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "perf/trace.hpp"
 #include "threads/task.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/assert.hpp"
@@ -84,54 +83,29 @@ void work_stealing_policy::enqueue_hinted(thread_manager& tm, int target, task* 
 }
 
 task* work_stealing_policy::get_next(thread_manager& tm, int w) {
-  worker_counters& c = tm.worker(w).counters;
   deque_slot& mine = *deques_[static_cast<std::size_t>(w)];
 
-  // Owner side: LIFO pop. Counted as a pending-queue access so the paper's
-  // queue metrics remain comparable across policies.
-  c.extra_pending_accesses.fetch_add(1, std::memory_order_relaxed);
-  if (auto t = mine.deque.pop()) return *t;
-  c.extra_pending_misses.fetch_add(1, std::memory_order_relaxed);
-
-  // Cross-worker hand-offs addressed to this worker.
-  c.extra_pending_accesses.fetch_add(1, std::memory_order_relaxed);
-  if (auto t = mine.inbox.pop()) {
+  // Owner side: LIFO pop, then the cross-worker hand-offs addressed to this
+  // worker. Both count as pending-queue probes, so the paper's queue
+  // metrics stay comparable across policies.
+  if (auto t = tm.pending_probe(w, mine.deque.pop())) return *t;
+  if (auto t = tm.pending_probe(w, mine.inbox.pop())) {
     if (!(*t)->has_context()) tm.convert(*t);
     return *t;
   }
-  c.extra_pending_misses.fetch_add(1, std::memory_order_relaxed);
 
-  // Thief side. One probe (one counted access) per steal attempt,
-  // regardless of internal CAS retries; a victim whose deque is dry gets a
-  // second probe into its inbox. Ordering the `stolen` bump before the
-  // `stolen-remote` bump keeps the derived stolen-local counter from
-  // underflowing under concurrent reads.
+  // Thief side. One probe per steal attempt, regardless of internal CAS
+  // retries; a victim whose deque is dry gets a second probe into its inbox.
   const auto try_victim = [&](int victim) -> task* {
     deque_slot& v = *deques_[static_cast<std::size_t>(victim)];
-    c.extra_pending_accesses.fetch_add(1, std::memory_order_relaxed);
-    if (auto t = v.deque.steal()) {
-      const int distance = tm.steal_distance(w, victim);
-      c.tasks_stolen.fetch_add(1, std::memory_order_relaxed);
-      if (distance == 2)
-        c.tasks_stolen_remote.fetch_add(1, std::memory_order_relaxed);
-      perf::trace_emit(tm.worker(w).trace, perf::trace_kind::steal, w, (*t)->id(),
-                       perf::steal_arg2(victim, distance));
-      return *t;
-    }
-    c.extra_pending_misses.fetch_add(1, std::memory_order_relaxed);
-    c.extra_pending_accesses.fetch_add(1, std::memory_order_relaxed);
-    if (auto t = v.inbox.pop()) {
+    auto t = tm.pending_probe(w, v.deque.steal());
+    if (!t) {
+      t = tm.pending_probe(w, v.inbox.pop());
+      if (!t) return nullptr;
       if (!(*t)->has_context()) tm.convert(*t);
-      const int distance = tm.steal_distance(w, victim);
-      c.tasks_stolen.fetch_add(1, std::memory_order_relaxed);
-      if (distance == 2)
-        c.tasks_stolen_remote.fetch_add(1, std::memory_order_relaxed);
-      perf::trace_emit(tm.worker(w).trace, perf::trace_kind::steal, w, (*t)->id(),
-                       perf::steal_arg2(victim, distance));
-      return *t;
     }
-    c.extra_pending_misses.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    tm.record_steal(w, victim, (*t)->id());
+    return *t;
   };
 
   if (hier_) {
@@ -160,12 +134,7 @@ task* work_stealing_policy::get_next(thread_manager& tm, int w) {
   }
 
   // Low-priority work last, as in every policy.
-  if (auto t = tm.low_priority_queue().pop_pending()) return *t;
-  if (auto d = tm.low_priority_queue().pop_staged()) {
-    tm.convert(*d);
-    return *d;
-  }
-  return nullptr;
+  return tm.pop_low_priority(w);
 }
 
 bool work_stealing_policy::queues_empty(const thread_manager& tm) const {
@@ -174,8 +143,7 @@ bool work_stealing_policy::queues_empty(const thread_manager& tm) const {
   // parking protocols: a concurrent push is caught by the enqueuer's wakeup.
   for (const auto& d : deques_)
     if (!d->deque.empty_approx() || !d->inbox.empty_approx()) return false;
-  if (tm.handoffs_in_flight() != 0) return false;
-  return tm.low_priority_queue().empty_approx();
+  return tm.low_priority_and_handoffs_empty();
 }
 
 }  // namespace gran

@@ -163,33 +163,39 @@ std::uint64_t thread_manager::spawn_task(int target, task::body_fn body,
 
 void thread_manager::note_created(int w) noexcept {
   if (w >= 0)
-    bump_owned(worker(w).cells.created, std::uint64_t{1});
+    worker(w).counters.bump(counter_event::created);
   else
-    external_cells_.created.fetch_add(1, std::memory_order_acq_rel);
+    external_counters_.cell(counter_event::created).fetch_add(1, std::memory_order_acq_rel);
 }
 
 void thread_manager::note_queued(int w, std::int64_t delta) noexcept {
   if (w >= 0)
     bump_owned(worker(w).cells.queued, delta);
   else
-    external_cells_.queued.fetch_add(delta, std::memory_order_relaxed);
+    external_queued_.fetch_add(delta, std::memory_order_relaxed);
 }
 
 std::uint64_t thread_manager::tasks_alive() const noexcept {
-  // Every retired cell first, then every created cell, all acquire: a
-  // retirement seen here makes its task's creation (and the creations of
-  // everything that task spawned) visible to the later loads, so the sum
-  // cannot wrap and cannot read zero while a task is alive.
-  std::uint64_t retired = 0;
-  for (const auto& wd : workers_) retired += wd->cells.retired.load(std::memory_order_acquire);
-  std::uint64_t created = external_cells_.created.load(std::memory_order_acquire);
-  for (const auto& wd : workers_) created += wd->cells.created.load(std::memory_order_acquire);
+  // Every retired cell first, then every created cell, all acquire and
+  // with no baseline: a retirement seen here makes its task's creation (and
+  // the creations of everything that task spawned) visible to the later
+  // loads, so the sum cannot wrap and cannot read zero while a task is
+  // alive.
+  const auto sum = [this](counter_event e) {
+    std::uint64_t n = 0;
+    for (const auto& wd : workers_) n += wd->counters.cell(e).load(std::memory_order_acquire);
+    return n;
+  };
+  const std::uint64_t retired = sum(counter_event::retired);
+  const std::uint64_t created =
+      external_counters_.cell(counter_event::created).load(std::memory_order_acquire) +
+      sum(counter_event::created);
   GRAN_DEBUG_ASSERT(created >= retired);
   return created - retired;
 }
 
 std::int64_t thread_manager::queued_tasks() const noexcept {
-  std::int64_t n = external_cells_.queued.load(std::memory_order_relaxed);
+  std::int64_t n = external_queued_.load(std::memory_order_relaxed);
   for (const auto& wd : workers_) n += wd->cells.queued.load(std::memory_order_relaxed);
   return std::max<std::int64_t>(0, n);
 }
@@ -202,12 +208,9 @@ std::uint64_t thread_manager::handoffs_in_flight() const noexcept {
 
 void thread_manager::record_spawn(int spawner, std::uint64_t id) noexcept {
   if (spawner >= 0) {
-    worker_data& wd = worker(spawner);
-    wd.counters.tasks_spawned.fetch_add(1, std::memory_order_relaxed);
-    perf::trace_emit(wd.trace, perf::trace_kind::task_enqueue, spawner, id,
+    perf::trace_emit(worker(spawner).trace, perf::trace_kind::task_enqueue, spawner, id,
                      static_cast<std::uint32_t>(spawner));
   } else {
-    external_spawns_.fetch_add(1, std::memory_order_relaxed);
     if (perf::tracer::enabled())
       perf::tracer::instance().emit_external(perf::trace_kind::task_enqueue, id,
                                              perf::external_worker);
@@ -219,7 +222,7 @@ void thread_manager::record_split(std::uint64_t parent_id,
   const int w = tl_manager == this ? tl_worker : -1;
   if (w < 0) return;  // splits only happen inside tasks, i.e. on workers
   worker_data& wd = worker(w);
-  wd.counters.tasks_split.fetch_add(1, std::memory_order_relaxed);
+  wd.counters.bump(counter_event::splits);
   const std::uint32_t point = split_point > 0xffffffffull
                                   ? 0xffffffffu
                                   : static_cast<std::uint32_t>(split_point);
@@ -229,7 +232,7 @@ void thread_manager::record_split(std::uint64_t parent_id,
 void thread_manager::record_split_denied() noexcept {
   const int w = tl_manager == this ? tl_worker : -1;
   if (w < 0) return;
-  worker(w).counters.splits_denied.fetch_add(1, std::memory_order_relaxed);
+  worker(w).counters.bump(counter_event::splits_denied);
 }
 
 int thread_manager::steal_distance(int thief, int victim) const noexcept {
@@ -274,14 +277,39 @@ void thread_manager::schedule_ready(task* t) {
 void thread_manager::convert(task* t) {
   GRAN_ASSERT_MSG(tl_manager == this, "convert outside this manager's workers");
   t->convert_to_pending(stacks_.acquire());
-  worker(tl_worker).counters.tasks_converted.fetch_add(1, std::memory_order_relaxed);
+  worker(tl_worker).counters.bump(counter_event::converted);
+}
+
+void thread_manager::record_steal(int thief, int victim, std::uint64_t first_id,
+                                  std::uint64_t n) noexcept {
+  worker_data& me = worker(thief);
+  const int distance = steal_distance(thief, victim);
+  me.counters.bump(counter_event::stolen, n);
+  if (distance == 2) me.counters.bump(counter_event::stolen_remote, n);
+  perf::trace_emit(me.trace, perf::trace_kind::steal, thief, first_id,
+                   perf::steal_arg2(victim, distance));
+}
+
+task* thread_manager::pop_low_priority(int w) {
+  if (auto t = pending_probe(w, low_queue_.pop_pending())) return *t;
+  if (auto d = staged_probe(w, low_queue_.pop_staged())) {
+    convert(*d);
+    return *d;
+  }
+  return nullptr;
+}
+
+bool thread_manager::low_priority_and_handoffs_empty() const noexcept {
+  // Tasks mid-transfer between two structures (staged->pending convert,
+  // staged steal, channel delivery) are momentarily in neither.
+  return handoffs_in_flight() == 0 && low_queue_.empty_approx();
 }
 
 void thread_manager::retire(int w, task* t) {
   stacks_.release(t->take_stack());
   delete t;
   // After the delete: wait_idle's caller may free what the body captured.
-  bump_owned(worker(w).cells.retired, std::uint64_t{1});
+  worker(w).counters.bump(counter_event::retired);
 }
 
 void thread_manager::wait_idle() {
@@ -345,7 +373,7 @@ void thread_manager::worker_main(int w) {
 
   const auto accumulate_func = [&] {
     const std::uint64_t now = tsc_clock::now();
-    me.counters.func_ticks.fetch_add(now - stamp, std::memory_order_relaxed);
+    me.counters.bump(counter_event::func_ticks, now - stamp);
     stamp = now;
     // Heartbeat: reuses the tsc read above, so liveness costs one relaxed
     // store per scheduler round. Parked workers still beat every
@@ -487,12 +515,9 @@ void thread_manager::run_phase(int w, task* t) {
     me.pmu->sample(pmu_begin);
     if (me.pmu_last_valid.load(std::memory_order_relaxed)) {
       const perf::pmu_sample gap = pmu_begin - me.pmu_last_end;
-      me.counters.pmu_cycles_sched.fetch_add(gap.cycles,
-                                             std::memory_order_relaxed);
-      me.counters.pmu_instructions_sched.fetch_add(gap.instructions,
-                                                   std::memory_order_relaxed);
-      me.counters.pmu_ctx_switches.fetch_add(gap.ctx_switches,
-                                             std::memory_order_relaxed);
+      me.counters.bump(counter_event::pmu_cycles_sched, gap.cycles);
+      me.counters.bump(counter_event::pmu_instructions_sched, gap.instructions);
+      me.counters.bump(counter_event::pmu_ctx_switches, gap.ctx_switches);
       perf::trace_emit_at(me.trace, t0, perf::trace_kind::task_pmu, w,
                           perf::pack_pmu_arg(gap.cycles, gap.instructions),
                           gap.llc_misses >= 0xffffffffull
@@ -511,8 +536,8 @@ void thread_manager::run_phase(int w, task* t) {
     me.heartbeat->beat_ticks.store(t1, std::memory_order_relaxed);
   }
 
-  me.counters.exec_ticks.fetch_add(dt, std::memory_order_relaxed);
-  me.counters.phases_executed.fetch_add(1, std::memory_order_relaxed);
+  me.counters.bump(counter_event::exec_ticks, dt);
+  me.counters.bump(counter_event::phases);
   t->count_phase();
   t->add_exec_ticks(dt);
 
@@ -525,17 +550,12 @@ void thread_manager::run_phase(int w, task* t) {
     perf::pmu_sample now;
     me.pmu->sample(now);
     const perf::pmu_sample d = now - pmu_begin;
-    me.counters.pmu_cycles_task.fetch_add(d.cycles, std::memory_order_relaxed);
-    me.counters.pmu_instructions_task.fetch_add(d.instructions,
-                                                std::memory_order_relaxed);
-    me.counters.pmu_llc_misses.fetch_add(d.llc_misses,
-                                         std::memory_order_relaxed);
-    me.counters.pmu_branch_misses.fetch_add(d.branch_misses,
-                                            std::memory_order_relaxed);
-    me.counters.pmu_stalled_backend.fetch_add(d.stalled_backend,
-                                              std::memory_order_relaxed);
-    me.counters.pmu_ctx_switches.fetch_add(d.ctx_switches,
-                                           std::memory_order_relaxed);
+    me.counters.bump(counter_event::pmu_cycles_task, d.cycles);
+    me.counters.bump(counter_event::pmu_instructions_task, d.instructions);
+    me.counters.bump(counter_event::pmu_llc_misses, d.llc_misses);
+    me.counters.bump(counter_event::pmu_branch_misses, d.branch_misses);
+    me.counters.bump(counter_event::pmu_stalled_backend, d.stalled_backend);
+    me.counters.bump(counter_event::pmu_ctx_switches, d.ctx_switches);
     // IPC/instructions only when the instructions event is live (software
     // mode reads 0), LLC only on rungs that still carry the event — zeros
     // from a degraded reader would poison the distributions.
@@ -562,7 +582,6 @@ void thread_manager::run_phase(int w, task* t) {
     me.hist_task_duration.record(
         static_cast<std::uint64_t>(tsc_clock::to_ns(t->exec_ticks())));
     t->finish();
-    me.counters.tasks_executed.fetch_add(1, std::memory_order_relaxed);
     retire(w, t);
     return;
   }
@@ -584,69 +603,48 @@ void thread_manager::run_phase(int w, task* t) {
 }
 
 thread_manager::totals thread_manager::counter_totals() const {
-  totals sum;
+  std::array<std::uint64_t, worker_counters::size> n{};
+  for (const auto& wd : workers_)
+    for (std::size_t e = 0; e < n.size(); ++e)
+      n[e] += wd->counters.read(static_cast<counter_event>(e));
+  const auto at = [&n](counter_event e) { return n[static_cast<std::size_t>(e)]; };
   const double ns_per_tick = tsc_clock::ns_per_tick();
-  std::uint64_t exec_ticks = 0;
-  std::uint64_t func_ticks = 0;
-  for (const auto& wd : workers_) {
-    const worker_counters& c = wd->counters;
-    sum.tasks_executed += c.tasks_executed.load(std::memory_order_relaxed);
-    sum.phases_executed += c.phases_executed.load(std::memory_order_relaxed);
-    exec_ticks += c.exec_ticks.load(std::memory_order_relaxed);
-    func_ticks += c.func_ticks.load(std::memory_order_relaxed);
-    sum.tasks_stolen += c.tasks_stolen.load(std::memory_order_relaxed);
-    sum.tasks_stolen_remote +=
-        c.tasks_stolen_remote.load(std::memory_order_relaxed);
-    sum.tasks_converted += c.tasks_converted.load(std::memory_order_relaxed);
-    sum.tasks_spawned += c.tasks_spawned.load(std::memory_order_relaxed);
-    sum.tasks_split += c.tasks_split.load(std::memory_order_relaxed);
-    sum.splits_denied += c.splits_denied.load(std::memory_order_relaxed);
-    sum.steal_req_sent += c.steal_req_sent.load(std::memory_order_relaxed);
-    sum.steal_req_forwarded +=
-        c.steal_req_forwarded.load(std::memory_order_relaxed);
-    sum.steal_req_declined +=
-        c.steal_req_declined.load(std::memory_order_relaxed);
-    sum.pmu_cycles_task += c.pmu_cycles_task.load(std::memory_order_relaxed);
-    sum.pmu_cycles_sched += c.pmu_cycles_sched.load(std::memory_order_relaxed);
-    sum.pmu_instructions_task +=
-        c.pmu_instructions_task.load(std::memory_order_relaxed);
-    sum.pmu_instructions_sched +=
-        c.pmu_instructions_sched.load(std::memory_order_relaxed);
-    sum.pmu_llc_misses += c.pmu_llc_misses.load(std::memory_order_relaxed);
-    sum.pmu_branch_misses +=
-        c.pmu_branch_misses.load(std::memory_order_relaxed);
-    sum.pmu_stalled_backend +=
-        c.pmu_stalled_backend.load(std::memory_order_relaxed);
-    sum.pmu_ctx_switches +=
-        c.pmu_ctx_switches.load(std::memory_order_relaxed);
+  const auto ns = [ns_per_tick](std::uint64_t ticks) {
+    return static_cast<std::uint64_t>(static_cast<double>(ticks) * ns_per_tick);
+  };
 
-    const queue_access_counts q = wd->queue.counts();
-    const queue_access_counts h = wd->high_queue.counts();
-    sum.queues.pending_accesses +=
-        q.pending_accesses + h.pending_accesses +
-        c.extra_pending_accesses.load(std::memory_order_relaxed);
-    sum.queues.pending_misses += q.pending_misses + h.pending_misses +
-                                 c.extra_pending_misses.load(std::memory_order_relaxed);
-    sum.queues.staged_accesses += q.staged_accesses + h.staged_accesses;
-    sum.queues.staged_misses += q.staged_misses + h.staged_misses;
-  }
-  const queue_access_counts low = low_queue_.counts();
-  sum.queues.pending_accesses += low.pending_accesses;
-  sum.queues.pending_misses += low.pending_misses;
-  sum.queues.staged_accesses += low.staged_accesses;
-  sum.queues.staged_misses += low.staged_misses;
-  sum.tasks_spawned += external_spawns_.load(std::memory_order_relaxed);
-
-  sum.exec_ns = static_cast<std::uint64_t>(static_cast<double>(exec_ticks) * ns_per_tick);
-  sum.func_ns = static_cast<std::uint64_t>(static_cast<double>(func_ticks) * ns_per_tick);
+  totals sum;
+  sum.tasks_executed = at(counter_event::retired);
+  sum.phases_executed = at(counter_event::phases);
+  sum.exec_ns = ns(at(counter_event::exec_ticks));
+  sum.func_ns = ns(at(counter_event::func_ticks));
+  sum.tasks_stolen = at(counter_event::stolen);
+  sum.tasks_stolen_remote = at(counter_event::stolen_remote);
+  sum.tasks_converted = at(counter_event::converted);
+  sum.tasks_spawned = at(counter_event::created) + external_spawns();
+  sum.tasks_split = at(counter_event::splits);
+  sum.splits_denied = at(counter_event::splits_denied);
+  sum.steal_req_sent = at(counter_event::steal_req_sent);
+  sum.steal_req_forwarded = at(counter_event::steal_req_forwarded);
+  sum.steal_req_declined = at(counter_event::steal_req_declined);
+  sum.pmu_cycles_task = at(counter_event::pmu_cycles_task);
+  sum.pmu_cycles_sched = at(counter_event::pmu_cycles_sched);
+  sum.pmu_instructions_task = at(counter_event::pmu_instructions_task);
+  sum.pmu_instructions_sched = at(counter_event::pmu_instructions_sched);
+  sum.pmu_llc_misses = at(counter_event::pmu_llc_misses);
+  sum.pmu_branch_misses = at(counter_event::pmu_branch_misses);
+  sum.pmu_stalled_backend = at(counter_event::pmu_stalled_backend);
+  sum.pmu_ctx_switches = at(counter_event::pmu_ctx_switches);
+  sum.queues.pending_accesses = at(counter_event::pending_accesses);
+  sum.queues.pending_misses = at(counter_event::pending_misses);
+  sum.queues.staged_accesses = at(counter_event::staged_accesses);
+  sum.queues.staged_misses = at(counter_event::staged_misses);
   return sum;
 }
 
 void thread_manager::reset_counters() {
   for (auto& wd : workers_) {
-    wd->counters.reset();
-    wd->queue.reset_counts();
-    wd->high_queue.reset_counts();
+    wd->counters.rebase();
     wd->hist_task_duration.reset();
     wd->hist_task_overhead.reset();
     wd->hist_task_ipc.reset();
@@ -655,8 +653,7 @@ void thread_manager::reset_counters() {
     wd->last_phase_end_ticks.store(0, std::memory_order_relaxed);
     wd->pmu_last_valid.store(false, std::memory_order_relaxed);
   }
-  low_queue_.reset_counts();
-  external_spawns_.store(0, std::memory_order_relaxed);
+  external_counters_.rebase();
   external_rejected_.store(0, std::memory_order_relaxed);
 }
 
@@ -973,54 +970,42 @@ void thread_manager::register_counters() {
     hreg.add(base, h.snap);
   }
 
-  // Per-worker instances of the headline counters.
+  // Per-worker instances of the headline counters. They read the cells the
+  // aggregates sum, so every additive instance sums to its aggregate.
+  struct instance_registration {
+    const char* name;
+    counter_event event;
+    const char* what;
+  };
+  static constexpr instance_registration instances[] = {
+      {"/count/cumulative", counter_event::retired, "tasks executed by this worker"},
+      {"/time/cumulative", counter_event::exec_ticks, "Σt_exec of this worker, ns"},
+      {"/time/overall", counter_event::func_ticks, "Σt_func of this worker, ns"},
+      {"/count/pending-accesses", counter_event::pending_accesses,
+       "pending-queue probes this worker made"},
+      {"/count/pending-misses", counter_event::pending_misses,
+       "pending-queue probes by this worker that found nothing"},
+      {"/count/stolen", counter_event::stolen,
+       "tasks this worker obtained from another worker's queues"},
+      {"/count/stolen-remote", counter_event::stolen_remote,
+       "tasks this worker stole from a different NUMA domain"},
+  };
   for (int w = 0; w < num_workers(); ++w) {
     const std::string inst = "/threads{worker#" + std::to_string(w) + "}";
     const worker_data* wd = workers_[static_cast<std::size_t>(w)].get();
-    reg.add(inst + "/count/cumulative", counter_kind::monotonic,
-            "tasks executed by this worker", [wd] {
-              return static_cast<double>(
-                  wd->counters.tasks_executed.load(std::memory_order_relaxed));
-            });
-    reg.add(inst + "/time/cumulative", counter_kind::monotonic,
-            "Σt_exec of this worker, ns", [wd] {
-              return static_cast<double>(
-                         wd->counters.exec_ticks.load(std::memory_order_relaxed)) *
-                     tsc_clock::ns_per_tick();
-            });
-    reg.add(inst + "/time/overall", counter_kind::monotonic,
-            "Σt_func of this worker, ns", [wd] {
-              return static_cast<double>(
-                         wd->counters.func_ticks.load(std::memory_order_relaxed)) *
-                     tsc_clock::ns_per_tick();
-            });
-    reg.add(inst + "/count/pending-accesses", counter_kind::monotonic,
-            "pending-queue look-ups on this worker's queues", [wd] {
-              return static_cast<double>(wd->queue.counts().pending_accesses +
-                                         wd->high_queue.counts().pending_accesses);
-            });
-    reg.add(inst + "/count/pending-misses", counter_kind::monotonic,
-            "pending-queue misses on this worker's queues", [wd] {
-              return static_cast<double>(wd->queue.counts().pending_misses +
-                                         wd->high_queue.counts().pending_misses);
-            });
-    reg.add(inst + "/count/stolen", counter_kind::monotonic,
-            "tasks this worker obtained from another worker's queues", [wd] {
-              return static_cast<double>(
-                  wd->counters.tasks_stolen.load(std::memory_order_relaxed));
-            });
+    for (const auto& c : instances) {
+      const bool ticks =
+          c.event == counter_event::exec_ticks || c.event == counter_event::func_ticks;
+      reg.add(inst + c.name, counter_kind::monotonic, c.what, [wd, e = c.event, ticks] {
+        const auto v = static_cast<double>(wd->counters.read(e));
+        return ticks ? v * tsc_clock::ns_per_tick() : v;
+      });
+    }
     reg.add(inst + "/count/stolen-local", counter_kind::monotonic,
             "tasks this worker stole within its NUMA domain", [wd] {
-              const auto s =
-                  wd->counters.tasks_stolen.load(std::memory_order_relaxed);
-              const auto r = wd->counters.tasks_stolen_remote.load(
-                  std::memory_order_relaxed);
+              const auto r = wd->counters.read(counter_event::stolen_remote);
+              const auto s = wd->counters.read(counter_event::stolen);
               return static_cast<double>(s - std::min(s, r));
-            });
-    reg.add(inst + "/count/stolen-remote", counter_kind::monotonic,
-            "tasks this worker stole from a different NUMA domain", [wd] {
-              return static_cast<double>(wd->counters.tasks_stolen_remote.load(
-                  std::memory_order_relaxed));
             });
     for (const double p : {50.0, 95.0, 99.0}) {
       const std::string tag = "p" + std::to_string(static_cast<int>(p));

@@ -128,6 +128,40 @@ class thread_manager {
   }
   std::uint64_t handoffs_in_flight() const noexcept;
 
+  // --- queue probes and steals, counted in the calling worker's cells ------
+  // Every policy counts its queue look-ups through these two calls, so the
+  // pending/staged access and miss counters mean the same under all four:
+  // one access per probe of one structure (not per CAS retry inside it),
+  // plus one miss when the probe came back empty. `w` is the calling worker.
+  // Each returns the pop's result: `if (auto t = tm.pending_probe(w, pop))`.
+  template <typename R>
+  R pending_probe(int w, R result) noexcept {
+    count_probe(w, counter_event::pending_accesses, counter_event::pending_misses,
+                static_cast<bool>(result));
+    return result;
+  }
+  template <typename R>
+  R staged_probe(int w, R result) noexcept {
+    count_probe(w, counter_event::staged_accesses, counter_event::staged_misses,
+                static_cast<bool>(result));
+    return result;
+  }
+
+  // Counts `n` tasks that worker `thief` (the caller) took from `victim` in
+  // one steal: `stolen` first, so a reader never sees stolen-remote above
+  // stolen, then the cross-domain subset, then one steal trace event naming
+  // the first task taken.
+  void record_steal(int thief, int victim, std::uint64_t first_id,
+                    std::uint64_t n = 1) noexcept;
+
+  // The last step of every policy's search: worker `w` probes the
+  // low-priority queue's pending side, then its staged side, converting a
+  // staged task it takes. nullptr when both are empty.
+  task* pop_low_priority(int w);
+  // The shared tail of every policy's queues_empty: no task sits in the
+  // low-priority queue or between two queue structures.
+  bool low_priority_and_handoffs_empty() const noexcept;
+
   // Wakes parked workers (all=false: one). Public so message-passing
   // policies can signal after pushing work into another worker's channel —
   // the same Dekker protocol as the enqueue paths (see the private section).
@@ -176,7 +210,7 @@ class thread_manager {
   // turned away before they became tasks (service/service.hpp). Exposed as
   // /threads/count/external-{spawns,rejected}.
   std::uint64_t external_spawns() const noexcept {
-    return external_spawns_.load(std::memory_order_relaxed);
+    return external_counters_.read(counter_event::created);
   }
   std::uint64_t external_rejected() const noexcept {
     return external_rejected_.load(std::memory_order_relaxed);
@@ -188,7 +222,7 @@ class thread_manager {
   }
 
   // Split bookkeeping (algo/splittable.hpp): bumps the calling worker's
-  // tasks_split cell and emits the task_split trace event (arg = the parent
+  // splits cell and emits the task_split trace event (arg = the parent
   // task's id, arg2 = the split point, saturated to 32 bits). The runner
   // calls this immediately before spawn_on of the back half, so on the
   // parent's trace lane the task_split event directly precedes the child's
@@ -197,7 +231,15 @@ class thread_manager {
   // Split demand observed but the remaining range was below 2×min_chunk.
   void record_split_denied() noexcept;
 
-  // Aggregated raw counter values across all workers.
+  // Queue probes by every worker (pending_probe, staged_probe).
+  struct queue_access_counts {
+    std::uint64_t pending_accesses = 0;
+    std::uint64_t pending_misses = 0;
+    std::uint64_t staged_accesses = 0;
+    std::uint64_t staged_misses = 0;
+  };
+
+  // Every worker's counts since the last reset_counters(), summed.
   struct totals {
     std::uint64_t tasks_executed = 0;
     std::uint64_t phases_executed = 0;
@@ -223,11 +265,14 @@ class thread_manager {
     std::uint64_t pmu_branch_misses = 0;
     std::uint64_t pmu_stalled_backend = 0;
     std::uint64_t pmu_ctx_switches = 0;
-    queue_access_counts queues;  // summed over every dual queue
+    queue_access_counts queues;
   };
   totals counter_totals() const;
 
-  // Resets every software counter (start of a measurement region).
+  // Starts every software count over from zero (start of a measurement
+  // region): each counter cell's baseline takes the cell's current value,
+  // and the histograms are cleared. Stores into no counter cell, so it may
+  // run while the workers count.
   void reset_counters();
 
   // Registers/unregisters the /threads/... counters with the global
@@ -251,13 +296,19 @@ class thread_manager {
   // the cells of `w`, or in the shared cells when w < 0.
   void note_created(int w) noexcept;
   void note_queued(int w, std::int64_t delta) noexcept;
+  // The body of pending_probe and staged_probe.
+  void count_probe(int w, counter_event accesses, counter_event misses,
+                   bool found) noexcept {
+    worker_counters& c = worker(w).counters;
+    c.bump(accesses);
+    if (!found) c.bump(misses);
+  }
   // Runs one thread-phase of `t` on worker `w`; handles termination,
   // yield re-queueing, and suspension finalization.
   void run_phase(int w, task* t);
 
-  // Spawn bookkeeping shared by spawn/spawn_on: bumps the spawned counter
-  // and emits the task_enqueue provenance event. `spawner` is the calling
-  // worker's index, or -1 for a non-worker thread (external lane).
+  // Emits the task_enqueue provenance event of a spawn. `spawner` is the
+  // calling worker's index, or -1 for a non-worker thread (external lane).
   void record_spawn(int spawner, std::uint64_t id) noexcept;
 
   // --- event-based idle parking ------------------------------------------
@@ -285,8 +336,6 @@ class thread_manager {
 
   std::vector<std::thread> threads_;
   std::atomic<bool> running_{false};
-  // Spawns from non-worker threads (worker spawns use the per-worker cell).
-  std::atomic<std::uint64_t> external_spawns_{0};
   // External submissions refused by admission control (note_external_rejected).
   std::atomic<std::uint64_t> external_rejected_{0};
 
@@ -294,8 +343,9 @@ class thread_manager {
   // on starvation edges, read from the splittable hot loop on every poll.
   alignas(cache_line_size) std::atomic<int> starving_{0};
   // Creations and enqueues from threads that are not this manager's
-  // workers (read-modify-writes; see lifecycle_cells).
-  lifecycle_cells external_cells_;
+  // workers (read-modify-writes; see worker_counters and queue_cells).
+  worker_counters external_counters_;
+  alignas(cache_line_size) std::atomic<std::int64_t> external_queued_{0};
 
   alignas(cache_line_size) std::atomic<int> sleepers_{0};
   std::mutex park_mutex_;

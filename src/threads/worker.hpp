@@ -3,7 +3,9 @@
 // OS thread, cache-line padded inside the manager's array.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -21,92 +23,102 @@ class trace_ring;
 
 class task;
 
-// Counter cells written by the owning worker with relaxed atomics and read
-// by anyone (perf-counter queries, other workers' heuristics).
-struct worker_counters {
-  std::atomic<std::uint64_t> tasks_executed{0};    // nt contribution
-  std::atomic<std::uint64_t> phases_executed{0};
-  std::atomic<std::uint64_t> exec_ticks{0};        // Σ t_exec (TSC ticks)
-  std::atomic<std::uint64_t> func_ticks{0};        // worker-loop wall ticks
-  std::atomic<std::uint64_t> tasks_stolen{0};      // obtained from another worker
-  // Subset of tasks_stolen taken from a victim in a *different* NUMA/locality
-  // domain; stolen-local is derived as (stolen - stolen_remote), so
-  // stolen-local + stolen-remote == stolen holds by construction.
-  std::atomic<std::uint64_t> tasks_stolen_remote{0};
-  std::atomic<std::uint64_t> tasks_converted{0};   // staged -> pending transforms
-  // Tasks this worker spawned (spawn/spawn_on called from its thread); spawns
-  // from non-worker threads are counted by the manager's external cell. The
-  // sum backs /threads/count/spawned and cross-checks the trace's
-  // task_enqueue event count.
-  std::atomic<std::uint64_t> tasks_spawned{0};
-  // Queue-probe counts for policies that bypass the instrumented dual_queue
-  // (work-stealing-lifo keeps its own deques); zero otherwise.
-  std::atomic<std::uint64_t> extra_pending_accesses{0};
-  std::atomic<std::uint64_t> extra_pending_misses{0};
-  // Lazy-splitting actuation (core/split_controller.hpp): ranges this worker
-  // split (back half re-enqueued as a new task), and split demands denied
-  // because the remaining range was below 2×GRAN_SPLIT_MIN.
-  std::atomic<std::uint64_t> tasks_split{0};
-  std::atomic<std::uint64_t> splits_denied{0};
-  // Channel-steal request traffic (policy_channel_steal.hpp): requests this
-  // worker originated, requests it passed on because its deque was empty,
-  // and requests it returned to the thief unserved after a full circuit.
-  // sent >= forwarded-circuits, and every sent request ends as exactly one
-  // handoff or one decline — the convergence invariant the termination test
-  // checks. Zero under the other policies.
-  std::atomic<std::uint64_t> steal_req_sent{0};
-  std::atomic<std::uint64_t> steal_req_forwarded{0};
-  std::atomic<std::uint64_t> steal_req_declined{0};
-  // PMU-plane attribution (perf/pmu.hpp; zero while GRAN_PMU is off). The
-  // *_task cells sum per-phase deltas (kernel work), the *_sched cells sum
-  // the inter-phase gaps — the hardware-unit mirror of exec_ticks vs the
-  // task-overhead histogram.
-  std::atomic<std::uint64_t> pmu_cycles_task{0};
-  std::atomic<std::uint64_t> pmu_cycles_sched{0};
-  std::atomic<std::uint64_t> pmu_instructions_task{0};
-  std::atomic<std::uint64_t> pmu_instructions_sched{0};
-  std::atomic<std::uint64_t> pmu_llc_misses{0};
-  std::atomic<std::uint64_t> pmu_branch_misses{0};
-  std::atomic<std::uint64_t> pmu_stalled_backend{0};
-  std::atomic<std::uint64_t> pmu_ctx_switches{0};
+// Adds `delta` to a cell that only the calling thread writes: a plain load
+// and a release store, no read-modify-write.
+template <typename T>
+inline void bump_owned(std::atomic<T>& cell, T delta) noexcept {
+  cell.store(cell.load(std::memory_order_relaxed) + delta, std::memory_order_release);
+}
 
-  void reset() {
-    tasks_executed.store(0, std::memory_order_relaxed);
-    phases_executed.store(0, std::memory_order_relaxed);
-    exec_ticks.store(0, std::memory_order_relaxed);
-    func_ticks.store(0, std::memory_order_relaxed);
-    tasks_stolen.store(0, std::memory_order_relaxed);
-    tasks_stolen_remote.store(0, std::memory_order_relaxed);
-    tasks_converted.store(0, std::memory_order_relaxed);
-    tasks_spawned.store(0, std::memory_order_relaxed);
-    extra_pending_accesses.store(0, std::memory_order_relaxed);
-    extra_pending_misses.store(0, std::memory_order_relaxed);
-    tasks_split.store(0, std::memory_order_relaxed);
-    splits_denied.store(0, std::memory_order_relaxed);
-    steal_req_sent.store(0, std::memory_order_relaxed);
-    steal_req_forwarded.store(0, std::memory_order_relaxed);
-    steal_req_declined.store(0, std::memory_order_relaxed);
-    pmu_cycles_task.store(0, std::memory_order_relaxed);
-    pmu_cycles_sched.store(0, std::memory_order_relaxed);
-    pmu_instructions_task.store(0, std::memory_order_relaxed);
-    pmu_instructions_sched.store(0, std::memory_order_relaxed);
-    pmu_llc_misses.store(0, std::memory_order_relaxed);
-    pmu_branch_misses.store(0, std::memory_order_relaxed);
-    pmu_stalled_backend.store(0, std::memory_order_relaxed);
-    pmu_ctx_switches.store(0, std::memory_order_relaxed);
-  }
+// The events a worker counts; each one indexes one cell of worker_counters.
+// The queue-probe events count the probes this worker made, whichever
+// worker's queue it probed.
+enum class counter_event : std::size_t {
+  created,           // tasks spawned from this thread
+  retired,           // tasks this worker ran to completion and deleted (nt)
+  phases,            // thread phases executed
+  exec_ticks,        // Σ t_exec, TSC ticks
+  func_ticks,        // worker-loop wall time, TSC ticks
+  converted,         // staged -> pending transforms
+  pending_accesses,  // pending-queue probes (thread_manager::pending_probe)
+  pending_misses,    // pending-queue probes that found nothing
+  staged_accesses,
+  staged_misses,
+  stolen,            // tasks obtained from another worker
+  // The subset of `stolen` taken from a victim in another NUMA domain;
+  // stolen-local is derived as stolen - stolen_remote.
+  stolen_remote,
+  // Lazy-splitting actuation (core/split_controller.hpp): ranges this worker
+  // split, and split demands denied because the remaining range was below
+  // 2×GRAN_SPLIT_MIN.
+  splits,
+  splits_denied,
+  // Channel-steal request traffic (policy_channel_steal.hpp): requests this
+  // worker originated, passed on because its deque was empty, and returned
+  // to the thief unserved after a full circuit. Every sent request ends as
+  // exactly one handoff or one decline. Zero under the other policies.
+  steal_req_sent,
+  steal_req_forwarded,
+  steal_req_declined,
+  // PMU-plane attribution (perf/pmu.hpp; zero while GRAN_PMU is off). The
+  // *_task cells sum per-phase deltas (kernel work), the *_sched cells the
+  // inter-phase gaps.
+  pmu_cycles_task,
+  pmu_cycles_sched,
+  pmu_instructions_task,
+  pmu_instructions_sched,
+  pmu_llc_misses,
+  pmu_branch_misses,
+  pmu_stalled_backend,
+  pmu_ctx_switches,
+  count_
 };
 
-// Task-lifecycle cells of one worker, on a line of their own. Only the
-// owning worker writes them, with a plain load and a release store
-// (bump_owned); readers sum every worker's cells on demand
-// (thread_manager::tasks_alive, queued_tasks, handoffs_in_flight). Threads
-// that are not workers share one more set and update it with
-// read-modify-writes. DESIGN.md decision 12 gives the read order that keeps
-// the liveness sum exact.
-struct alignas(cache_line_size) lifecycle_cells {
-  std::atomic<std::uint64_t> created{0};  // tasks spawned from this thread
-  std::atomic<std::uint64_t> retired{0};  // tasks deleted by this worker
+// One cell per counted event and one baseline per cell. Only the owning
+// worker writes its cells (bump); threads that are not workers share one
+// more set, whose only event is `created`, and add to it with
+// read-modify-writes. A reading is the cell minus its baseline, the cell's
+// value at the last rebase (thread_manager::reset_counters), so a reset
+// stores into no cell. Cells only grow: rebase loads the cell and then
+// release-stores the baseline, a reader acquire-loads the baseline and then
+// loads the cell, and by read-read coherence that load returns at least the
+// value the baseline was taken from. A reading never drops below zero.
+struct worker_counters {
+  static constexpr std::size_t size = static_cast<std::size_t>(counter_event::count_);
+
+  std::atomic<std::uint64_t>& cell(counter_event e) noexcept {
+    return cells_[static_cast<std::size_t>(e)];
+  }
+  const std::atomic<std::uint64_t>& cell(counter_event e) const noexcept {
+    return cells_[static_cast<std::size_t>(e)];
+  }
+  void bump(counter_event e, std::uint64_t delta = 1) noexcept {
+    bump_owned(cell(e), delta);
+  }
+  // Acquire on the cell too: a retirement read here makes the spawn of its
+  // task visible to whatever the reader loads next.
+  std::uint64_t read(counter_event e) const noexcept {
+    const std::size_t i = static_cast<std::size_t>(e);
+    const std::uint64_t b = base_[i].load(std::memory_order_acquire);
+    return cells_[i].load(std::memory_order_acquire) - b;
+  }
+  // Makes every reading start over from zero (thread_manager::reset_counters).
+  void rebase() noexcept {
+    for (std::size_t i = 0; i < size; ++i)
+      base_[i].store(cells_[i].load(std::memory_order_relaxed), std::memory_order_release);
+  }
+
+ private:
+  alignas(cache_line_size) std::array<std::atomic<std::uint64_t>, size> cells_{};
+  alignas(cache_line_size) std::array<std::atomic<std::uint64_t>, size> base_{};
+};
+
+// Queue-occupancy cells of one worker, on a line of their own, written only
+// by the owning worker with bump_owned and summed on demand
+// (thread_manager::queued_tasks, handoffs_in_flight). Threads that are not
+// workers share one more `queued` cell and update it with
+// read-modify-writes. Neither is a counter: reset_counters leaves them.
+struct alignas(cache_line_size) queue_cells {
   // Enqueues by this thread minus dequeues by this worker; advisory, and
   // negative in one cell whenever another thread queued what this one ran.
   std::atomic<std::int64_t> queued{0};
@@ -114,12 +126,6 @@ struct alignas(cache_line_size) lifecycle_cells {
   // (thread_manager::note_handoff_begin).
   std::atomic<std::int64_t> handoffs{0};
 };
-
-// Adds `delta` to a cell that only the calling thread writes.
-template <typename T>
-inline void bump_owned(std::atomic<T>& cell, T delta) noexcept {
-  cell.store(cell.load(std::memory_order_relaxed) + delta, std::memory_order_release);
-}
 
 struct worker_data {
   explicit worker_data(std::size_t ring_capacity)
@@ -132,7 +138,7 @@ struct worker_data {
   dual_queue<task*, task*> high_queue;
 
   worker_counters counters;
-  lifecycle_cells cells;
+  queue_cells cells;
 
   // Distribution counters (always on; see perf/histogram.hpp):
   //   task-duration — total t_exec of each completed task, ns;

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <thread>
 
+#include "util/timer.hpp"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -49,24 +51,29 @@ class backoff {
 // Idle-worker escalation: spin with pause hints, then OS-yield, then tell
 // the caller to park (block on its wakeup primitive). Unlike `backoff`, the
 // two thresholds are configurable so the scheduler's idle_spin_limit /
-// idle_yield_limit knobs map onto it directly.
+// idle_yield_limit knobs map onto it directly. They count fruitless
+// scheduler rounds, and every step waits at least `step_ns`, so the time a
+// starved worker takes to park is set by the thresholds and not by what one
+// round of queue probes costs (which moves with the policy, the worker
+// count and the cost of counting a probe).
 class idle_backoff {
  public:
+  static constexpr double step_ns = 1500.0;
+
   idle_backoff(std::uint32_t spin_limit, std::uint32_t yield_limit) noexcept
-      : spin_limit_(spin_limit), yield_limit_(yield_limit) {}
+      : spin_limit_(spin_limit),
+        yield_limit_(yield_limit),
+        step_ticks_(static_cast<std::uint64_t>(step_ns / tsc_clock::ns_per_tick())) {}
 
   // One escalation step. Returns true once the caller should park.
   bool pause() noexcept {
     ++streak_;
-    if (streak_ <= spin_limit_) {
-      cpu_relax();
-      return false;
-    }
-    if (streak_ <= yield_limit_) {
-      std::this_thread::yield();
-      return false;
-    }
-    return true;
+    if (streak_ > yield_limit_) return true;
+    const std::uint64_t until = tsc_clock::now() + step_ticks_;
+    if (streak_ > spin_limit_) std::this_thread::yield();
+    do cpu_relax();
+    while (tsc_clock::now() < until);
+    return false;
   }
 
   void reset() noexcept { streak_ = 0; }
@@ -76,6 +83,7 @@ class idle_backoff {
   std::uint32_t streak_ = 0;
   std::uint32_t spin_limit_;
   std::uint32_t yield_limit_;
+  std::uint64_t step_ticks_;
 };
 
 }  // namespace gran

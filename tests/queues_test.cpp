@@ -1,5 +1,5 @@
 // Unit + stress tests for src/queues: SPSC ring, Vyukov MPMC, unbounded
-// concurrent FIFO with overflow, and the instrumented dual queue.
+// concurrent FIFO with overflow, and the dual queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -301,34 +301,6 @@ TEST(ConcurrentFifo, PushAfterDrainReturnsToLockFreePath) {
 }
 
 // --- dual_queue -------------------------------------------------------------------
-
-TEST(DualQueue, AccessAndMissCounting) {
-  dual_queue<int*, int*> q(16);
-  int a = 1, b = 2;
-
-  EXPECT_FALSE(q.pop_pending().has_value());  // miss
-  q.push_pending(&a);
-  EXPECT_TRUE(q.pop_pending().has_value());  // hit
-  q.push_staged(&b);
-  EXPECT_TRUE(q.pop_staged().has_value());
-  EXPECT_FALSE(q.pop_staged().has_value());
-
-  const auto counts = q.counts();
-  EXPECT_EQ(counts.pending_accesses, 2u);
-  EXPECT_EQ(counts.pending_misses, 1u);
-  EXPECT_EQ(counts.staged_accesses, 2u);
-  EXPECT_EQ(counts.staged_misses, 1u);
-}
-
-TEST(DualQueue, ResetCounts) {
-  dual_queue<int*, int*> q(16);
-  q.pop_pending();
-  q.pop_staged();
-  q.reset_counts();
-  const auto counts = q.counts();
-  EXPECT_EQ(counts.pending_accesses, 0u);
-  EXPECT_EQ(counts.staged_misses, 0u);
-}
 
 TEST(DualQueue, EmptyApprox) {
   dual_queue<int*, int*> q(16);

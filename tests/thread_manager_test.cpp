@@ -121,7 +121,7 @@ TEST(ThreadManager, WorkDistributionAcrossWorkers) {
   // have executed something.
   int active_workers = 0;
   for (int w = 0; w < tm.num_workers(); ++w)
-    if (tm.worker(w).counters.tasks_executed.load() > 0) ++active_workers;
+    if (tm.worker(w).counters.read(counter_event::retired) > 0) ++active_workers;
   EXPECT_GT(active_workers, 1);
 }
 
@@ -317,37 +317,88 @@ TEST(ThreadManager, PerfCountersRegistered) {
 
 TEST(ThreadManager, InstanceCountersSumToAggregate) {
   // The per-worker {worker#N} instances must decompose the aggregate exactly
-  // — both views read the same per-worker atomics.
+  // under every policy: both views read the same per-worker cells, and a
+  // queue probe is counted in the cells of the worker that made it.
+  for (const char* policy :
+       {"priority-local-fifo", "static-fifo", "work-stealing-lifo", "channel-steal"}) {
+    SCOPED_TRACE(policy);
+    thread_manager tm(test_config(4, policy));
+    auto& reg = perf::registry::instance();
+    tm.reset_counters();
+    constexpr int n = 400;
+    for (int i = 0; i < n; ++i)
+      tm.spawn(
+          [] {
+            volatile double x = 1.0;
+            for (int k = 0; k < 5000; ++k) x = x * 1.0000001 + 0.1;
+          },
+          i % 8 == 0 ? task_priority::low : task_priority::normal);
+    tm.wait_idle();
+    // Idle workers keep probing until they are stopped; the registrations
+    // live until the destructor.
+    tm.stop();
+
+    for (const char* name :
+         {"count/cumulative", "count/stolen", "count/stolen-local", "count/stolen-remote",
+          "count/pending-accesses", "count/pending-misses"}) {
+      const double aggregate = reg.value_or(std::string("/threads/") + name, -1);
+      ASSERT_GE(aggregate, 0.0) << name;
+      double sum = 0;
+      for (int w = 0; w < tm.num_workers(); ++w)
+        sum += reg.value_or("/threads{worker#" + std::to_string(w) + "}/" + name, 0);
+      EXPECT_EQ(sum, aggregate) << name;
+    }
+    EXPECT_EQ(reg.value_or("/threads/count/cumulative", -1), static_cast<double>(n));
+    EXPECT_GE(reg.value_or("/threads/count/pending-accesses", -1), static_cast<double>(n));
+
+    // The locality split decomposes the steal count.
+    const double stolen = reg.value_or("/threads/count/stolen", -1);
+    const double local = reg.value_or("/threads/count/stolen-local", -1);
+    const double remote = reg.value_or("/threads/count/stolen-remote", -1);
+    EXPECT_EQ(local + remote, stolen);
+  }
+}
+
+TEST(ThreadManager, ResetRacesNothing) {
+  // reset_counters() stores into no cell a worker writes, so it may run
+  // while the workers count: no reading wraps below zero, and the tasks
+  // executed since a reset never exceed the tasks spawned so far.
   thread_manager tm(test_config(4));
   auto& reg = perf::registry::instance();
-  tm.reset_counters();
-  constexpr int n = 400;
-  for (int i = 0; i < n; ++i)
-    tm.spawn([] {
-      volatile double x = 1.0;
-      for (int k = 0; k < 5000; ++k) x = x * 1.0000001 + 0.1;
-    });
-  tm.wait_idle();
+  constexpr std::uint64_t wrapped = std::uint64_t{1} << 62;
+  std::atomic<std::uint64_t> spawned{0};
+  std::atomic<bool> done{false};
 
-  for (const char* name : {"count/cumulative", "count/stolen", "count/stolen-local",
-                           "count/stolen-remote"}) {
-    const double aggregate =
-        reg.value_or(std::string("/threads/") + name, -1);
-    ASSERT_GE(aggregate, 0.0) << name;
-    double sum = 0;
-    for (int w = 0; w < tm.num_workers(); ++w)
-      sum += reg.value_or(
-          "/threads{worker#" + std::to_string(w) + "}/" + name, 0);
-    EXPECT_EQ(sum, aggregate) << name;
+  std::thread resetter([&] {
+    while (!done.load()) {
+      tm.reset_counters();
+      std::this_thread::yield();
+    }
+  });
+  std::thread reader([&] {
+    while (!done.load()) {
+      const auto t = tm.counter_totals();
+      const std::uint64_t so_far = spawned.load();
+      EXPECT_LE(t.tasks_executed, so_far);
+      for (const std::uint64_t v :
+           {t.tasks_executed, t.phases_executed, t.exec_ns, t.func_ns, t.tasks_stolen,
+            t.tasks_stolen_remote, t.tasks_converted, t.tasks_spawned,
+            t.queues.pending_accesses, t.queues.pending_misses, t.queues.staged_accesses,
+            t.queues.staged_misses})
+        EXPECT_LT(v, wrapped);
+      for (const auto& [name, value] : reg.query_all("/threads"))
+        EXPECT_LT(value.value, static_cast<double>(wrapped)) << name;
+    }
+  });
+
+  for (int i = 0; i < 20000; ++i) {
+    spawned.fetch_add(1);
+    tm.spawn([] {});
   }
-  EXPECT_EQ(reg.value_or("/threads/count/cumulative", -1),
-            static_cast<double>(n));
-
-  // The locality split decomposes the steal count.
-  const double stolen = reg.value_or("/threads/count/stolen", -1);
-  const double local = reg.value_or("/threads/count/stolen-local", -1);
-  const double remote = reg.value_or("/threads/count/stolen-remote", -1);
-  EXPECT_EQ(local + remote, stolen);
+  tm.wait_idle();
+  done.store(true);
+  resetter.join();
+  reader.join();
 }
 
 TEST(ThreadManager, PinPlanExposedAndNoRejectedPins) {

@@ -370,6 +370,20 @@ TEST(Backoff, EscalatesToYield) {
   EXPECT_FALSE(bo.yielding());
 }
 
+// The time to park follows the thresholds, not the caller's round cost:
+// every spin and yield step waits at least step_ns, and the step after the
+// yield threshold says park.
+TEST(IdleBackoff, EveryStepWaitsAtLeastStepNs) {
+  idle_backoff idler(/*spin_limit=*/3, /*yield_limit=*/8);
+  for (int round = 0; round < 2; ++round) {
+    stopwatch w;
+    for (int i = 0; i < 8; ++i) EXPECT_FALSE(idler.pause());
+    EXPECT_GE(static_cast<double>(w.elapsed_ns()), 8 * idle_backoff::step_ns * 0.5);
+    EXPECT_TRUE(idler.pause());
+    idler.reset();
+  }
+}
+
 TEST(Cacheline, PaddedIsolation) {
   static_assert(sizeof(padded<int>) % cache_line_size == 0);
   static_assert(alignof(padded<int>) == cache_line_size);
