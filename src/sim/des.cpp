@@ -8,6 +8,14 @@
 
 namespace gran::sim {
 
+std::vector<worker_assignment> core_layout(int cores, int domains) {
+  domains = std::max(1, std::min(domains, cores));
+  std::vector<worker_assignment> layout(static_cast<std::size_t>(cores));
+  for (int c = 0; c < cores; ++c)
+    layout[static_cast<std::size_t>(c)].domain = c * domains / cores;
+  return layout;
+}
+
 namespace {
 
 using detail::id_part;

@@ -3,7 +3,8 @@
 //
 // The simulator executes the *same scheduling algorithm* as the native
 // Priority Local-FIFO policy — per-core dual staged/pending FIFO queues and
-// the six-step NUMA-aware search order of Fig. 1 — over virtual time, with
+// the six-step NUMA-aware search order of Fig. 1, walked along the victim
+// route the native workers walk (topo/steal_route.hpp) — over virtual time, with
 // per-event costs from a machine_model. Task execution time follows the
 // model's compute + bandwidth-contention law, so the paper's wait-time
 // behaviour emerges from the simulation rather than being scripted.
@@ -15,10 +16,12 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "sim/machine_model.hpp"
 #include "stencil/params.hpp"
+#include "topo/pin_plan.hpp"
 
 namespace gran::sim {
 
@@ -37,8 +40,9 @@ struct sim_config {
   int cores = 1;               // simulated workers (clamped to model cores)
   std::uint64_t seed = 1;      // deterministic execution-time jitter
   sim_policy policy = sim_policy::priority_local;
-  // When false, the steal search ignores NUMA domains and probes every
-  // victim in plain ring order (ablation_steal_order).
+  // When false, the priority_local search walks the flat route: every
+  // victim in plain ring order, oblivious to NUMA domains
+  // (ablation_steal_order). work_stealing always walks the flat route.
   bool numa_aware_steal = true;
 };
 
@@ -49,6 +53,12 @@ struct sim_result {
   std::uint64_t tasks_converted = 0;
   std::uint64_t edges_signaled = 0;  // dependency notifications delivered
 };
+
+// The simulated cores' layout: `cores` cores in contiguous blocks over
+// `domains` NUMA domains (clamped to [1, cores]), core c in domain
+// c * domains / cores, none pinned and none with an SMT sibling. Every
+// simulation builds each core's victim route (steal_route::build) from it.
+std::vector<worker_assignment> core_layout(int cores, int domains);
 
 // Runs one simulation. Deterministic for a fixed config.
 sim_result simulate_stencil(const sim_config& cfg, const stencil::params& p);

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "sim/des.hpp"
 #include "sim/machine_model.hpp"
 #include "sim/split_sim.hpp"
+#include "topo/steal_route.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -61,6 +63,7 @@ inline std::uint32_t id_part(std::uint64_t id) {
 struct core_state {
   time_ns now = 0;
   int numa = 0;
+  steal_route route;
   std::deque<std::uint64_t> staged;
   std::deque<std::uint64_t> pending;
   // Per-core queue instrumentation (aggregated into the measurement).
@@ -99,16 +102,18 @@ class des_engine {
       : cfg_(cfg),
         w_(workload),
         num_cores_(std::max(1, std::min(cfg.cores, cfg.model.spec.cores))) {
+    // Simulated work stealing walks the flat route, unlike the native
+    // policy's hier default (DESIGN.md decision 1).
+    const steal_order order =
+        cfg.policy == sim_policy::priority_local && cfg.numa_aware_steal ? steal_order::hier
+                                                                         : steal_order::flat;
+    const std::vector<worker_assignment> layout =
+        core_layout(num_cores_, cfg.model.spec.numa_domains);
     cores_.resize(static_cast<std::size_t>(num_cores_));
-    const int domains =
-        std::max(1, std::min(cfg.model.spec.numa_domains, num_cores_));
-    for (int c = 0; c < num_cores_; ++c)
-      cores_[static_cast<std::size_t>(c)].numa = c * domains / num_cores_;
-    numa_members_.resize(static_cast<std::size_t>(domains));
     for (int c = 0; c < num_cores_; ++c) {
-      numa_members_[static_cast<std::size_t>(cores_[static_cast<std::size_t>(c)].numa)]
-          .push_back(c);
-      all_cores_.push_back(c);
+      core_state& cs = cores_[static_cast<std::size_t>(c)];
+      cs.numa = layout[static_cast<std::size_t>(c)].domain;
+      cs.route = steal_route::build(layout, c, order);
     }
     deps_.reserve(w_.fanin_reserve_hint());
 
@@ -315,34 +320,21 @@ class des_engine {
 
     if (cfg_.policy == sim_policy::static_fifo) return k_no_task;  // no stealing
 
-    if (!cfg_.numa_aware_steal) {
-      // Ablation: probe every victim in plain ring order, oblivious to the
-      // domain layout (the per-victim NUMA penalty is still physical).
-      if (std::uint64_t id = steal_staged(core, all_cores_); id != k_no_task) return id;
-      return steal_pending(core, all_cores_);
-    }
-
-    // 3./4. Same NUMA domain: staged then pending.
-    const auto& local = numa_members_[static_cast<std::size_t>(me.numa)];
-    if (std::uint64_t id = steal_staged(core, local); id != k_no_task) return id;
-    if (std::uint64_t id = steal_pending(core, local); id != k_no_task) return id;
-
-    // 5./6. Remote domains.
-    for (int d = 0; d < static_cast<int>(numa_members_.size()); ++d) {
-      if (d == me.numa) continue;
-      const auto& remote = numa_members_[static_cast<std::size_t>(d)];
-      if (std::uint64_t id = steal_staged(core, remote); id != k_no_task) return id;
-    }
-    for (int d = 0; d < static_cast<int>(numa_members_.size()); ++d) {
-      if (d == me.numa) continue;
-      const auto& remote = numa_members_[static_cast<std::size_t>(d)];
-      if (std::uint64_t id = steal_pending(core, remote); id != k_no_task) return id;
+    // 3./4. The route's local part (own NUMA domain), staged then pending;
+    // 5./6. its remote part the same way. The flat route of the oblivious
+    // ablation is all local part (the per-victim NUMA penalty is still
+    // physical).
+    for (const auto part : {steal_route::part::local, steal_route::part::remote}) {
+      if (auto id = me.route.walk(part, 0, [&](int v) { return steal(core, v, true); }))
+        return *id;
+      if (auto id = me.route.walk(part, 0, [&](int v) { return steal(core, v, false); }))
+        return *id;
     }
     return k_no_task;
   }
 
-  // Work-stealing-LIFO: owner pops at the back, thieves steal at the front,
-  // plain ring victim order, no staged stage.
+  // Work-stealing-LIFO: owner pops at the back, thieves steal at the front
+  // along the flat route, no staged stage.
   std::uint64_t find_work_ws(int core) {
     core_state& me = cores_[static_cast<std::size_t>(core)];
     const machine_model& mm = model_cost_;
@@ -356,21 +348,9 @@ class des_engine {
     }
     ++me.pending_misses;
 
-    for (int k = 1; k < num_cores_; ++k) {
-      const int v = (core + k) % num_cores_;
-      core_state& victim = cores_[static_cast<std::size_t>(v)];
-      const bool remote = victim.numa != me.numa;
-      ++victim.pending_accesses;
-      me.now +=
-          static_cast<time_ns>(mm.steal_probe_ns + (remote ? mm.numa_penalty_ns : 0.0));
-      if (!victim.pending.empty()) {
-        const std::uint64_t id = victim.pending.front();
-        victim.pending.pop_front();
-        ++stolen_;
-        return id;
-      }
-      ++victim.pending_misses;
-    }
+    if (auto id = me.route.walk(steal_route::part::all, 0,
+                                [&](int v) { return steal(core, v, false); }))
+      return *id;
     return k_no_task;
   }
 
@@ -391,64 +371,27 @@ class des_engine {
     return got;
   }
 
-  // Probes the staged queues of `members` in ring order after the thief's
-  // own position. A hit is converted into the thief's pending queue.
-  std::uint64_t steal_staged(int thief, const std::vector<int>& members) {
+  // Probes victim `v`'s staged (or pending) queue for `thief`, charging
+  // the probe, plus the NUMA penalty across domains, to the thief's clock
+  // and counting it on the victim. A staged hit is converted into the
+  // thief's pending queue and taken from there.
+  std::optional<std::uint64_t> steal(int thief, int v, bool staged) {
     core_state& me = cores_[static_cast<std::size_t>(thief)];
+    core_state& victim = cores_[static_cast<std::size_t>(v)];
     const machine_model& mm = model_cost_;
-    const std::size_t n = members.size();
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (members[i] == thief) {
-        start = i + 1;
-        break;
-      }
-    for (std::size_t k = 0; k < n; ++k) {
-      const int v = members[(start + k) % n];
-      if (v == thief) continue;
-      core_state& victim = cores_[static_cast<std::size_t>(v)];
-      const bool remote = victim.numa != me.numa;
-      ++victim.staged_accesses;
-      me.now +=
-          static_cast<time_ns>(mm.steal_probe_ns + (remote ? mm.numa_penalty_ns : 0.0));
-      if (!victim.staged.empty()) {
-        const std::uint64_t id = victim.staged.front();
-        victim.staged.pop_front();
-        ++stolen_;
-        return convert_and_take(thief, id, remote);
-      }
-      ++victim.staged_misses;
+    const bool remote = victim.numa != me.numa;
+    std::deque<std::uint64_t>& queue = staged ? victim.staged : victim.pending;
+    ++(staged ? victim.staged_accesses : victim.pending_accesses);
+    me.now +=
+        static_cast<time_ns>(mm.steal_probe_ns + (remote ? mm.numa_penalty_ns : 0.0));
+    if (queue.empty()) {
+      ++(staged ? victim.staged_misses : victim.pending_misses);
+      return std::nullopt;
     }
-    return k_no_task;
-  }
-
-  std::uint64_t steal_pending(int thief, const std::vector<int>& members) {
-    core_state& me = cores_[static_cast<std::size_t>(thief)];
-    const machine_model& mm = model_cost_;
-    const std::size_t n = members.size();
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (members[i] == thief) {
-        start = i + 1;
-        break;
-      }
-    for (std::size_t k = 0; k < n; ++k) {
-      const int v = members[(start + k) % n];
-      if (v == thief) continue;
-      core_state& victim = cores_[static_cast<std::size_t>(v)];
-      const bool remote = victim.numa != me.numa;
-      ++victim.pending_accesses;
-      me.now +=
-          static_cast<time_ns>(mm.steal_probe_ns + (remote ? mm.numa_penalty_ns : 0.0));
-      if (!victim.pending.empty()) {
-        const std::uint64_t id = victim.pending.front();
-        victim.pending.pop_front();
-        ++stolen_;
-        return id;
-      }
-      ++victim.pending_misses;
-    }
-    return k_no_task;
+    const std::uint64_t id = queue.front();
+    queue.pop_front();
+    ++stolen_;
+    return staged ? convert_and_take(thief, id, remote) : id;
   }
 
   void on_schedule(const schedule_event& ev) {
@@ -519,8 +462,6 @@ class des_engine {
   machine_model model_cost_ = cfg_.model;
 
   std::vector<core_state> cores_;
-  std::vector<std::vector<int>> numa_members_;
-  std::vector<int> all_cores_;
   std::unordered_map<std::uint64_t, int> deps_;
 
   std::priority_queue<completion_event, std::vector<completion_event>,
@@ -585,11 +526,14 @@ class lazy_split_engine {
     queue_ns_ = cfg_.model.queue_op_ns * scale;
     switch_ns_ = cfg_.model.task_switch_ns * scale;
     steal_ns_ = cfg_.model.steal_probe_ns;
-    const int domains =
-        std::max(1, std::min(cfg_.model.spec.numa_domains, num_cores_));
+    const std::vector<worker_assignment> layout =
+        core_layout(num_cores_, cfg_.model.spec.numa_domains);
     cores_.resize(static_cast<std::size_t>(num_cores_));
-    for (int c = 0; c < num_cores_; ++c)
-      cores_[static_cast<std::size_t>(c)].numa = c * domains / num_cores_;
+    for (int c = 0; c < num_cores_; ++c) {
+      split_core_state& cs = cores_[static_cast<std::size_t>(c)];
+      cs.numa = layout[static_cast<std::size_t>(c)].domain;
+      cs.route = steal_route::build(layout, c, steal_order::flat);
+    }
   }
 
   split_sim_result run() {
@@ -658,6 +602,7 @@ class lazy_split_engine {
   struct split_core_state {
     time_ns now = 0;
     int numa = 0;
+    steal_route route;
     std::deque<std::pair<std::uint64_t, std::uint64_t>> ready;
     running_task run;
   };
@@ -776,22 +721,21 @@ class lazy_split_engine {
       return;
     }
 
-    // 2. Steal a queued range, ring order, NUMA penalty when crossing.
-    for (int k = 1; k < num_cores_; ++k) {
-      const int v = (core + k) % num_cores_;
+    // 2. Steal a queued range along the flat route, NUMA penalty when
+    // crossing.
+    const auto steal = [&](int v) {
       split_core_state& victim = cores_[static_cast<std::size_t>(v)];
       const bool remote = victim.numa != me.numa;
       me.now += static_cast<time_ns>(steal_ns_ +
                                      (remote ? cfg_.model.numa_penalty_ns : 0.0));
-      if (!victim.ready.empty()) {
-        const auto [lo, hi] = victim.ready.front();
-        victim.ready.pop_front();
-        ++steals_;
-        start_range(core, lo, hi, task_item_ns(next_task_ord_++),
-                    convert_ns_ + switch_ns_);
-        return;
-      }
-    }
+      if (victim.ready.empty()) return false;
+      const auto [lo, hi] = victim.ready.front();
+      victim.ready.pop_front();
+      ++steals_;
+      start_range(core, lo, hi, task_item_ns(next_task_ord_++), convert_ns_ + switch_ns_);
+      return true;
+    };
+    if (me.route.walk(steal_route::part::all, 0, steal)) return;
 
     // 3. Lazy mode: split the running task with the most remaining items.
     if (cfg_.lazy && try_split_into(core)) return;

@@ -43,10 +43,11 @@ struct scheduler_config {
   // GRAN_PIN.
   std::string pin;
 
-  // Victim-selection order for the work-stealing policy: "hier" (SMT
-  // sibling -> same NUMA domain -> remote domains, rotating start per tier)
-  // or "flat" (the old fixed (w+k) % n ring — kept as the ablation
-  // baseline). Empty = GRAN_STEAL_ORDER.
+  // Victim order of every policy that steals (topo/steal_route.hpp):
+  // "hier" (SMT sibling -> same NUMA domain -> remote domains, rotating
+  // start per tier) or "flat" (the fixed (w+k) % n ring, the ablation
+  // baseline). Empty = GRAN_STEAL_ORDER; an unknown name throws from the
+  // thread manager.
   std::string steal_order;
 
   // Channel-steal batching: "one" (single task per request), "half" (victim

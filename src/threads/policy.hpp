@@ -40,7 +40,8 @@ class scheduling_policy {
   virtual void enqueue_hinted(thread_manager& tm, int target, task* t);
 
   // Finds the next task for worker `w`: pops local work, converts staged
-  // descriptions, or steals, and takes low-priority work last
+  // descriptions, or steals along the worker's route (worker_data::route,
+  // one sweep per call), and takes low-priority work last
   // (thread_manager::pop_low_priority). Every queue look-up is counted
   // through thread_manager::pending_probe or staged_probe. Returns nullptr
   // when nothing is available anywhere. A returned task is in the pending

@@ -39,17 +39,6 @@ void channel_steal_policy::init(thread_manager& tm) {
   slots_.reserve(static_cast<std::size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
     auto slot = std::make_unique<worker_slot>();
-    // The request routing order is the PR-4 steal hierarchy: SMT sibling,
-    // then same NUMA domain, then remote — a token visits close victims
-    // before paying cross-domain latency.
-    slot->victims.reserve(static_cast<std::size_t>(num_workers_ - 1));
-    for (int tier = 0; tier < 3; ++tier) {
-      for (int k = 1; k < num_workers_; ++k) {
-        const int v = (w + k) % num_workers_;
-        if (tm.steal_distance(w, v) == tier) slot->victims.push_back(v);
-      }
-      slot->tier_end[tier] = static_cast<int>(slot->victims.size());
-    }
     // One token ring per potential thief; capacity 1 because each thief has
     // at most one token in flight (the push-success asserts below rely on
     // this invariant).
@@ -118,10 +107,8 @@ void channel_steal_policy::enqueue_hinted(thread_manager& tm, int target, task* 
 
 void channel_steal_policy::send_to_hop(thread_manager& tm, int sender,
                                        steal_request r) {
-  const worker_slot& route = *slots_[static_cast<std::size_t>(r.thief)];
-  const auto circuit = static_cast<std::uint32_t>(num_workers_ - 1);
-  const int target = route.victims[(r.start + static_cast<std::uint32_t>(r.hops)) %
-                                   circuit];
+  const int target =
+      tm.worker(r.thief).route.circuit(r.sweep, static_cast<std::uint32_t>(r.hops));
   worker_slot& vs = *slots_[static_cast<std::size_t>(target)];
   const bool ok = vs.req_from[static_cast<std::size_t>(r.thief)]->push(r);
   GRAN_ASSERT_MSG(ok, "steal-request token ring overflow (token discipline broken)");
@@ -140,7 +127,7 @@ void channel_steal_policy::maybe_send_request(thread_manager& tm, int w) {
       c.cell(counter_event::created).load(std::memory_order_relaxed) == me.spawns_at_refill;
   steal_request r;
   r.thief = w;
-  r.start = me.nonce++ % static_cast<std::uint32_t>(num_workers_ - 1);
+  r.sweep = tm.worker(w).sweeps++;
   r.hops = 0;
   r.half = request_half(mode_, me.last_refill_dry);
   me.outstanding = true;

@@ -4,9 +4,10 @@
 // sends a `steal_request` token through an SPSC channel to a victim; the
 // victim, at its next cooperation point, either answers by pushing a batch
 // of tasks into the thief's SPSC delivery channel, or — when its own deque
-// is empty — forwards the token to the next victim on the *thief's*
-// topology-hierarchical route (the PR-4 victim order reused as the request
-// routing order). A token that completes a full circuit unserved is
+// is empty — forwards the token to the next victim on the *thief's* victim
+// route (worker_data::route, the one every stealing policy walks; a token's
+// circuit starts at the thief's sweep position on a hier route, at its
+// successor on a flat one). A token that completes a full circuit unserved is
 // returned to the thief as a decline; the thief then blocks its requesting
 // until the manager's queued-task count signals new supply, so an idle
 // machine converges to zero circulating requests (polling-free
@@ -52,7 +53,7 @@ class task;
 // The circulating token. Trivially copyable; lives in the req_from_ rings.
 struct steal_request {
   std::int32_t thief = -1;   // requester; deliveries go to its channel
-  std::uint32_t start = 0;   // index into the thief's victim order at hop 0
+  std::uint32_t sweep = 0;   // the thief's sweep count when it sent the token
   std::int32_t hops = 0;     // victims visited so far (0 = fresh send)
   bool half = false;         // steal-half vs steal-one
 };
@@ -91,12 +92,6 @@ class channel_steal_policy final : public scheduling_policy {
     return false;
   }
 
-  // The request-routing order for worker `w` (the PR-4 hierarchical victim
-  // order); exposed for tests.
-  const std::vector<int>& steal_order(int w) const {
-    return slots_[static_cast<std::size_t>(w)]->victims;
-  }
-
  private:
   struct alignas(cache_line_size) worker_slot {
     // Private deque: touched ONLY by the owning worker's thread — owner
@@ -127,13 +122,7 @@ class channel_steal_policy final : public scheduling_policy {
     // hands the producer role to the next victim safely.
     std::atomic<std::uint64_t> served{0};
 
-    // Request routing order (PR-4 hierarchy: SMT sibling, same domain,
-    // remote; tier_end[i] = exclusive end of tier i). Const after init.
-    std::vector<int> victims;
-    int tier_end[3] = {0, 0, 0};
-
     // Owner-only thief state (no atomics needed).
-    std::uint32_t nonce = 0;       // rotates the route start per request
     bool outstanding = false;      // my token is in flight
     bool blocked = false;          // my token came back declined
     bool last_refill_dry = false;  // previous refill spawned nothing
@@ -156,7 +145,7 @@ class channel_steal_policy final : public scheduling_policy {
   // Sends a fresh request from thief `w` if allowed (no token in flight,
   // not blocked, more than one worker).
   void maybe_send_request(thread_manager& tm, int w);
-  // Routes token `r` to the victim at hop `r.hops` of the thief's order.
+  // Routes token `r` to the victim at hop `r.hops` of the thief's route.
   void send_to_hop(thread_manager& tm, int sender, steal_request r);
 
   std::vector<std::unique_ptr<worker_slot>> slots_;

@@ -1,5 +1,7 @@
 #include "threads/policy_priority_local.hpp"
 
+#include <optional>
+
 #include "threads/task.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/assert.hpp"
@@ -11,7 +13,6 @@ void priority_local_policy::init(thread_manager& tm) {
   for (int w = 0; w < tm.num_workers(); ++w)
     if (tm.worker(w).owns_high_queue) ++high_queue_owners_;
   GRAN_ASSERT(high_queue_owners_ >= 1);
-  rotations_.assign(static_cast<std::size_t>(tm.num_workers()), sweep_rotation{});
 }
 
 void priority_local_policy::enqueue_new(thread_manager& tm, int home, task* t) {
@@ -98,97 +99,45 @@ task* priority_local_policy::get_next(thread_manager& tm, int w) {
     return nullptr;
   }
 
-  // One rotation value per steal sweep: every tier below starts its ring at
-  // a position that advances on each fruitless sweep, so a herd of
-  // simultaneously starved workers spreads over distinct victims instead of
-  // all probing the same ring sequence in lockstep.
-  const std::uint32_t rot = rotations_[static_cast<std::size_t>(w)].value++;
-
-  // 3./4. Same NUMA domain: staged first, then pending.
-  if (task* t = steal_staged_from_node(tm, w, me.numa_node, rot)) return t;
-  if (task* t = steal_pending_from_node(tm, w, me.numa_node, rot)) return t;
-
-  // 5./6. Remote NUMA domains, nearest-ring order from the worker's own
-  // domain.
-  const int domains = tm.num_numa_domains();
-  for (int k = 1; k < domains; ++k) {
-    const int node = (me.numa_node + k) % domains;
-    if (task* t = steal_staged_from_node(tm, w, node, rot)) return t;
-  }
-  for (int k = 1; k < domains; ++k) {
-    const int node = (me.numa_node + k) % domains;
-    if (task* t = steal_pending_from_node(tm, w, node, rot)) return t;
-  }
-
-  // 7. Low-priority work only when everything else is exhausted.
-  return tm.pop_low_priority(w);
-}
-
-namespace {
-
-// Ring start within `members`: just after `w`'s own position when it is a
-// member of this node, plus the sweep rotation in either case.
-std::size_t ring_start(const std::vector<int>& members, int w, std::uint32_t rot) {
-  const std::size_t n = members.size();
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (members[i] == w) {
-      start = i + 1;
-      break;
-    }
-  return (start + rot) % n;
-}
-
-}  // namespace
-
-task* priority_local_policy::steal_staged_from_node(thread_manager& tm, int w,
-                                                    int node, std::uint32_t rot) {
-  const auto& members = tm.workers_of_node(node);
-  const std::size_t n = members.size();
-  if (n == 0) return nullptr;
-  const std::size_t start = ring_start(members, w, rot);
-  worker_data& me = tm.worker(w);
-  for (std::size_t k = 0; k < n; ++k) {
-    const int v = members[(start + k) % n];
-    if (v == w) continue;
+  // Steal probes, one per victim queue, a victim's high-priority queue
+  // first. A stolen staged description is converted into this worker's
+  // pending queue and taken from there; the result is then engaged even
+  // when another thief snatched the task meanwhile, which ends the sweep
+  // with nullptr (the caller retries).
+  const auto steal_staged = [&](int v) -> std::optional<task*> {
     worker_data& victim = tm.worker(v);
     std::optional<task*> d;
     if (victim.owns_high_queue) d = tm.staged_probe(w, victim.high_queue.pop_staged());
     if (!d) d = tm.staged_probe(w, victim.queue.pop_staged());
-    if (d) {
-      // Cross-worker staged steal: the same in-flight window as the local
-      // convert, but the task also changes owner mid-transfer.
-      tm.note_handoff_begin(w);
-      tm.convert(*d);
-      tm.record_steal(w, v, (*d)->id());
-      me.queue.push_pending(*d);
-      tm.note_handoff_end(w);
-      if (auto t = tm.pending_probe(w, me.queue.pop_pending())) return *t;
-      return nullptr;
-    }
-  }
-  return nullptr;
-}
-
-task* priority_local_policy::steal_pending_from_node(thread_manager& tm, int w,
-                                                     int node, std::uint32_t rot) {
-  const auto& members = tm.workers_of_node(node);
-  const std::size_t n = members.size();
-  if (n == 0) return nullptr;
-  const std::size_t start = ring_start(members, w, rot);
-  for (std::size_t k = 0; k < n; ++k) {
-    const int v = members[(start + k) % n];
-    if (v == w) continue;
+    if (!d) return std::nullopt;
+    // Cross-worker staged steal: the same in-flight window as the local
+    // convert, but the task also changes owner mid-transfer.
+    tm.note_handoff_begin(w);
+    tm.convert(*d);
+    tm.record_steal(w, v, (*d)->id());
+    me.queue.push_pending(*d);
+    tm.note_handoff_end(w);
+    return tm.pending_probe(w, me.queue.pop_pending()).value_or(nullptr);
+  };
+  const auto steal_pending = [&](int v) -> std::optional<task*> {
     worker_data& victim = tm.worker(v);
     std::optional<task*> t;
     if (victim.owns_high_queue) t = tm.pending_probe(w, victim.high_queue.pop_pending());
     if (!t) t = tm.pending_probe(w, victim.queue.pop_pending());
-    if (t) {
-      tm.record_steal(w, v, (*t)->id());
-      return *t;
-    }
+    if (t) tm.record_steal(w, v, (*t)->id());
+    return t;
+  };
+
+  // 3./4. The route's local part (own NUMA domain), staged then pending;
+  // 5./6. its remote part the same way.
+  const std::uint32_t sweep = me.sweeps++;
+  for (const auto part : {steal_route::part::local, steal_route::part::remote}) {
+    if (auto t = me.route.walk(part, sweep, steal_staged)) return *t;
+    if (auto t = me.route.walk(part, sweep, steal_pending)) return *t;
   }
-  return nullptr;
+
+  // 7. Low-priority work only when everything else is exhausted.
+  return tm.pop_low_priority(w);
 }
 
 bool priority_local_policy::queues_empty(const thread_manager& tm) const {

@@ -13,6 +13,10 @@
 //   4. pending queues of other workers in the same NUMA domain
 //   5. staged queues of workers in remote NUMA domains
 //   6. pending queues of workers in remote NUMA domains
+// Steps 3-6 walk the worker's victim route (topo/steal_route.hpp): 3-4 its
+// local part, an SMT sibling first, and 5-6 its remote part, nearest domain
+// first. On a flat route (GRAN_STEAL_ORDER=flat) steps 3-4 cover every
+// other worker and 5-6 none.
 // Stolen staged descriptions are converted and placed into the thief's own
 // pending queue — staged threads are cheap to migrate because they have no
 // context yet.
@@ -20,11 +24,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "threads/policy.hpp"
-#include "util/cacheline.hpp"
 
 namespace gran {
 
@@ -39,25 +40,6 @@ class priority_local_policy final : public scheduling_policy {
   bool queues_empty(const thread_manager& tm) const override;
 
  private:
-  // Steals one staged description from the workers of `node`, converting
-  // into `w`'s pending queue. Returns a runnable task or nullptr. `rot`
-  // rotates the ring's starting victim (see get_next).
-  task* steal_staged_from_node(thread_manager& tm, int w, int node,
-                               std::uint32_t rot);
-  // Steals one ready task from the pending queues of `node`.
-  task* steal_pending_from_node(thread_manager& tm, int w, int node,
-                                std::uint32_t rot);
-
-  // Per-worker steal-sweep rotation. Without it every idle worker began its
-  // search at the same ring position relative to itself — under global
-  // starvation (the herd) all workers then converge probe-by-probe on the
-  // same victims. Owner-only state (worker `w` alone touches slot `w` inside
-  // get_next), hence plain ints, cache-line padded against false sharing.
-  struct alignas(cache_line_size) sweep_rotation {
-    std::uint32_t value = 0;
-  };
-  std::vector<sweep_rotation> rotations_;
-
   std::atomic<std::uint64_t> rr_normal_{0};
   std::atomic<std::uint64_t> rr_high_{0};
   int high_queue_owners_ = 0;

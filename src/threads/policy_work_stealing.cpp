@@ -1,8 +1,5 @@
 #include "threads/policy_work_stealing.hpp"
 
-#include <stdexcept>
-#include <string>
-
 #include "threads/task.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/assert.hpp"
@@ -11,29 +8,9 @@ namespace gran {
 
 void work_stealing_policy::init(thread_manager& tm) {
   num_workers_ = tm.num_workers();
-
-  const std::string& order = tm.config().steal_order;
-  if (order != "hier" && order != "flat")
-    throw std::invalid_argument("unknown steal order: " + order + " (hier|flat)");
-  hier_ = order == "hier";
-
   deques_.clear();
   deques_.reserve(static_cast<std::size_t>(num_workers_));
-  for (int w = 0; w < num_workers_; ++w) {
-    auto slot = std::make_unique<deque_slot>();
-    // Victim tiers from the topology distance: SMT sibling (0), same NUMA
-    // domain (1), remote (2). Ring order from w+1 within each tier keeps
-    // the flat ring's neighbor-first determinism inside a tier.
-    slot->victims.reserve(static_cast<std::size_t>(num_workers_ - 1));
-    for (int tier = 0; tier < 3; ++tier) {
-      for (int k = 1; k < num_workers_; ++k) {
-        const int v = (w + k) % num_workers_;
-        if (tm.steal_distance(w, v) == tier) slot->victims.push_back(v);
-      }
-      slot->tier_end[tier] = static_cast<int>(slot->victims.size());
-    }
-    deques_.push_back(std::move(slot));
-  }
+  for (int w = 0; w < num_workers_; ++w) deques_.push_back(std::make_unique<deque_slot>());
 }
 
 void work_stealing_policy::push_remote(int target, task* t) {
@@ -108,30 +85,8 @@ task* work_stealing_policy::get_next(thread_manager& tm, int w) {
     return *t;
   };
 
-  if (hier_) {
-    // Tier by tier: SMT sibling, same domain, remote. The per-sweep nonce
-    // rotates the starting victim within each tier so simultaneously idle
-    // workers fan out instead of converging on the same victim (the flat
-    // ring's herd: every idle worker's first probe was w+1).
-    const std::uint32_t r = mine.nonce++;
-    int begin = 0;
-    for (int tier = 0; tier < 3; ++tier) {
-      const int end = mine.tier_end[tier];
-      const int size = end - begin;
-      for (int k = 0; k < size; ++k) {
-        const int idx = begin + static_cast<int>((r + static_cast<std::uint32_t>(k)) %
-                                                 static_cast<std::uint32_t>(size));
-        if (task* t = try_victim(mine.victims[static_cast<std::size_t>(idx)]))
-          return t;
-      }
-      begin = end;
-    }
-  } else {
-    // Flat ablation baseline: fixed ring order over all other workers.
-    const int n = num_workers_;
-    for (int k = 1; k < n; ++k)
-      if (task* t = try_victim((w + k) % n)) return t;
-  }
+  worker_data& me = tm.worker(w);
+  if (task* t = me.route.walk(steal_route::part::all, me.sweeps++, try_victim)) return t;
 
   // Low-priority work last, as in every policy.
   return tm.pop_low_priority(w);

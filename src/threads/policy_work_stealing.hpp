@@ -10,14 +10,14 @@
 // the deques run dry. On-worker spawns and wakes — the hot path at fine
 // granularity — take the no-CAS owner push.
 //
-// Victim selection is topology-hierarchical by default ("hier"): each
-// worker probes its SMT sibling first (shared L1/L2 — stolen state is
-// already hot), then the rest of its NUMA domain (shared L3 / local
-// memory), then remote domains. Within each tier the starting victim
-// rotates per steal sweep, so a herd of simultaneously idle workers fans
-// out over different victims instead of all hammering w+1.
-// cfg.steal_order = "flat" keeps the old fixed (w+k) % n ring as the
-// ablation baseline (bench/ablation_topology measures the difference).
+// A thief walks every tier of its victim route (topo/steal_route.hpp). By
+// default ("hier") that is its SMT sibling first (shared L1/L2 — stolen
+// state is already hot), then the rest of its NUMA domain (shared L3 /
+// local memory), then remote domains, each tier's start rotating per steal
+// sweep so a herd of simultaneously idle workers fans out over different
+// victims instead of all hammering w+1. GRAN_STEAL_ORDER=flat walks the
+// fixed (w+k) % n ring, the ablation baseline (bench/ablation_topology
+// measures the difference).
 //
 // Differences from the paper's priority-local-FIFO, on purpose:
 //   * no staged stage — a worker's own spawns receive their context at
@@ -52,29 +52,11 @@ class work_stealing_policy final : public scheduling_policy {
   task* get_next(thread_manager& tm, int w) override;
   bool queues_empty(const thread_manager& tm) const override;
 
-  // The concatenated victim tiers worker `w` probes, in order (tests).
-  const std::vector<int>& steal_order(int w) const {
-    return deques_[static_cast<std::size_t>(w)]->victims;
-  }
-  // Offsets into steal_order(w): [0, tier_end[0]) are SMT siblings,
-  // [tier_end[0], tier_end[1]) same-domain, [tier_end[1], tier_end[2])
-  // remote.
-  const int* steal_tier_ends(int w) const {
-    return deques_[static_cast<std::size_t>(w)]->tier_end;
-  }
-
  private:
   struct alignas(cache_line_size) deque_slot {
     chase_lev_deque<task*> deque{256};
     // Cross-worker hand-off lane; lock-free unless it overflows.
     concurrent_fifo<task*> inbox{256};
-    // Precomputed victim order: SMT siblings, then same-domain workers, then
-    // remote workers; tier_end[i] is the exclusive end of tier i.
-    std::vector<int> victims;
-    int tier_end[3] = {0, 0, 0};
-    // Per-sweep rotation nonce. Owner-only state (read and written solely by
-    // worker `w` inside get_next), hence no atomic.
-    std::uint32_t nonce = 0;
   };
 
   // Routes a task enqueued from outside worker `target` into its inbox.
@@ -82,7 +64,6 @@ class work_stealing_policy final : public scheduling_policy {
 
   std::vector<std::unique_ptr<deque_slot>> deques_;
   int num_workers_ = 0;  // cached in init(); tm's count never changes after
-  bool hier_ = true;     // victim order: hierarchical vs flat ring
   std::atomic<std::uint64_t> rr_{0};
 };
 

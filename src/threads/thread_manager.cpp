@@ -12,6 +12,7 @@
 #include "perf/watchdog.hpp"
 #include "threads/runtime.hpp"
 #include "topo/affinity.hpp"
+#include "topo/steal_route.hpp"
 #include "topo/topology.hpp"
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
@@ -34,6 +35,7 @@ thread_manager::thread_manager(scheduler_config cfg)
     : cfg_(with_knobs(std::move(cfg), config::current())),
       low_queue_(cfg_.queue_ring_capacity),
       stacks_(cfg_.stack_size) {
+  const steal_order order = steal_order_from_name(cfg_.steal_order);
   const topology& topo = topology::host();
   const std::vector<int> allowed = allowed_cpus();
 
@@ -67,20 +69,24 @@ thread_manager::thread_manager(scheduler_config cfg)
   const int high_queues =
       cfg_.high_priority_queues > 0 ? std::min(cfg_.high_priority_queues, workers) : workers;
 
+  // Domain from the plan, unless overridden: then spread workers evenly,
+  // first domains first — matches how HPX fills sockets.
+  std::vector<worker_assignment> layout = plan_.workers;
+  for (int w = 0; w < workers; ++w) {
+    int& domain = layout[static_cast<std::size_t>(w)].domain;
+    domain = domains_overridden ? w * num_numa_domains_ / workers
+                                : std::min(domain, num_numa_domains_ - 1);
+  }
+
   workers_.reserve(static_cast<std::size_t>(workers));
   workers_by_node_.resize(static_cast<std::size_t>(num_numa_domains_));
   for (int w = 0; w < workers; ++w) {
     auto wd = std::make_unique<worker_data>(cfg_.queue_ring_capacity);
     wd->index = w;
-    const worker_assignment& a = plan_.workers[static_cast<std::size_t>(w)];
-    // Domain from the plan, unless overridden: then spread workers evenly,
-    // first domains first — matches how HPX fills sockets.
-    wd->numa_node = domains_overridden ? w * num_numa_domains_ / workers
-                                       : std::min(a.domain, num_numa_domains_ - 1);
-    wd->core = a.core;
-    wd->cpu = a.cpu;
+    wd->place = layout[static_cast<std::size_t>(w)];
     wd->owns_high_queue = w < high_queues;
-    workers_by_node_[static_cast<std::size_t>(wd->numa_node)].push_back(w);
+    wd->route = steal_route::build(layout, w, order);
+    workers_by_node_[static_cast<std::size_t>(wd->place.domain)].push_back(w);
     workers_.push_back(std::move(wd));
   }
 
@@ -236,11 +242,7 @@ void thread_manager::record_split_denied() noexcept {
 }
 
 int thread_manager::steal_distance(int thief, int victim) const noexcept {
-  const worker_data& a = worker(thief);
-  const worker_data& b = worker(victim);
-  if (a.core >= 0 && a.core == b.core) return 0;
-  if (a.numa_node == b.numa_node) return 1;
-  return 2;
+  return gran::steal_distance(worker(thief).place, worker(victim).place);
 }
 
 int thread_manager::home_worker_for_block(std::uint64_t index,
@@ -354,12 +356,13 @@ void thread_manager::worker_main(int w) {
   // Pin to the planned CPU (-1 = the plan left this worker unpinned). A
   // rejected pin (CPU went offline, cpuset shrank after planning) is not
   // silent: it perturbs every measurement taken on this worker.
-  if (me.cpu >= 0 && !pin_current_thread(me.cpu)) {
+  const int cpu = me.place.cpu;
+  if (cpu >= 0 && !pin_current_thread(cpu)) {
     pins_rejected_.fetch_add(1, std::memory_order_relaxed);
     perf::trace_emit(me.trace, perf::trace_kind::pin_rejected, w,
-                     static_cast<std::uint64_t>(me.cpu));
+                     static_cast<std::uint64_t>(cpu));
     GRAN_LOG_WARN("worker %d: kernel rejected pin to cpu %d; running unpinned",
-                  w, me.cpu);
+                  w, cpu);
   }
 
   // Open this worker's counter group after pinning (perf_event_open

@@ -32,7 +32,8 @@ namespace gran {
 
 class thread_manager {
  public:
-  // Builds the pool and starts the workers immediately.
+  // Builds the pool and starts the workers immediately. Throws
+  // std::invalid_argument on an unknown policy or steal order.
   explicit thread_manager(scheduler_config cfg = {});
 
   // Drains all remaining work, then stops and joins the workers.
@@ -96,7 +97,6 @@ class thread_manager {
   // --- introspection -----------------------------------------------------
 
   int num_workers() const noexcept { return static_cast<int>(workers_.size()); }
-  int num_numa_domains() const noexcept { return num_numa_domains_; }
   const scheduler_config& config() const noexcept { return cfg_; }
   scheduling_policy& policy() noexcept { return *policy_; }
 
@@ -109,7 +109,8 @@ class thread_manager {
   }
 
   // Topology distance from `thief` to `victim`: 0 = SMT siblings (same
-  // physical core), 1 = same NUMA/locality domain, 2 = remote domain.
+  // physical core), 1 = same NUMA/locality domain, 2 = remote domain. Each
+  // worker's victim route (worker_data::route) is tiered by it.
   int steal_distance(int thief, int victim) const noexcept;
 
   // --- in-flight handoff accounting ---------------------------------------
@@ -175,9 +176,6 @@ class thread_manager {
 
   worker_data& worker(int w) { return *workers_[static_cast<std::size_t>(w)]; }
   const worker_data& worker(int w) const { return *workers_[static_cast<std::size_t>(w)]; }
-  const std::vector<int>& workers_of_node(int node) const {
-    return workers_by_node_[static_cast<std::size_t>(node)];
-  }
 
   dual_queue<task*, task*>& low_priority_queue() noexcept { return low_queue_; }
   const dual_queue<task*, task*>& low_priority_queue() const noexcept { return low_queue_; }

@@ -13,6 +13,8 @@
 #include "perf/histogram.hpp"
 #include "perf/pmu.hpp"
 #include "queues/dual_queue.hpp"
+#include "topo/pin_plan.hpp"
+#include "topo/steal_route.hpp"
 #include "util/cacheline.hpp"
 
 namespace gran {
@@ -180,15 +182,21 @@ struct worker_data {
   perf::heartbeat_slot* heartbeat = nullptr;
 
   int index = -1;
-  // Dense NUMA/locality domain from the pin plan (or the even spread when
-  // unpinned); the policies' same-domain steal tier keys off this.
-  int numa_node = 0;
-  // Dense physical-core id from the pin plan; workers sharing it are SMT
-  // siblings. -1 when the worker is unpinned (no core identity).
-  int core = -1;
-  // Logical CPU this worker is pinned to; -1 = unpinned.
-  int cpu = -1;
+  // Where this worker runs, from the pin plan: the logical CPU it is pinned
+  // to (-1 = unpinned), its dense NUMA/locality domain (the even spread
+  // under the numa_domains override), and its dense physical-core id,
+  // shared by SMT siblings (-1 = no core identity). The route's tiers key
+  // off the domain and the core.
+  worker_assignment place;
   bool owns_high_queue = false;
+
+  // The order in which this worker's steal sweeps probe the other workers
+  // (topo/steal_route.hpp); read-only once the workers run.
+  steal_route route;
+  // Steal sweeps this worker has begun; the count rotates a hier route.
+  // Only the owning worker touches it, so it is a plain integer on a line
+  // of its own.
+  alignas(cache_line_size) std::uint32_t sweeps = 0;
 };
 
 }  // namespace gran

@@ -26,7 +26,7 @@ const std::array<knob_row, knob_count> k_table = {{
     {"GRAN_PIN", nullptr, kind::choice, "compact", "compact|scatter|none",
      "worker pinning layout when scheduler_config::pin is empty"},
     {"GRAN_STEAL_ORDER", nullptr, kind::choice, "hier", "hier|flat",
-     "work-stealing-lifo victim order when scheduler_config::steal_order is empty"},
+     "victim order of every stealing policy when scheduler_config::steal_order is empty"},
     {"GRAN_STEAL_BATCH", nullptr, kind::choice, "adaptive", "one|half|adaptive",
      "channel-steal batch when scheduler_config::steal_batch is empty"},
     {"GRAN_STACK_SIZE", nullptr, kind::integer, "65536", "4096",

@@ -1,8 +1,9 @@
-// Tests for the channel-steal scheduling backend (ISSUE 9): randomized
-// N-worker exactly-once execution, termination-detection convergence with
-// zero residual requests, steal-one vs steal-half batch correctness, the
-// request-routing order, checksum equivalence with the other policies, and
-// the racy-shutdown regression for in-flight handoffs.
+// Tests for the channel-steal scheduling backend: randomized N-worker
+// exactly-once execution, termination-detection convergence with zero
+// residual requests, steal-one vs steal-half batch correctness, checksum
+// equivalence with the other policies, and the racy-shutdown regression for
+// in-flight handoffs. The request route is the manager's victim route,
+// tested in steal_order_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -138,24 +139,44 @@ TEST(ChannelSteal, BatchModeParsing) {
                std::invalid_argument);
 }
 
-// One generator worker floods its private deque while the others can only
+// One generator worker floods its private deque while the other can only
 // refill through requests — the workload that separates the batch modes.
+// The deque is deep when the first request arrives by construction, not by
+// timing: worker 1 is held in a task (an OS-level spin, so it sends no
+// request) until all n tasks are spawned, and the generator returns only
+// once worker 1 has sent a request afterwards. Worker 0 serves it from the
+// full deque at its next scheduler round.
 thread_manager::totals run_generator_workload(const std::string& batch) {
   thread_manager tm(test_config(2, batch));
   tm.reset_counters();
   std::atomic<int> done{0};
+  std::atomic<bool> held{false};
+  std::atomic<bool> spawned{false};
   constexpr int n = 2'000;
-  tm.spawn([&tm, &done] {
+  const auto sent_by_thief = [&tm] {
+    return tm.worker(1).counters.read(counter_event::steal_req_sent);
+  };
+  tm.spawn_on(1, [&] {
+    held.store(true);
+    while (!spawned.load()) std::this_thread::yield();
+  });
+  while (!held.load()) std::this_thread::yield();
+  tm.spawn_on(0, [&] {
     for (int i = 0; i < n; ++i)
       tm.spawn([&done] {
-        // ~2µs of spinning so the thief's drain is slower than the
-        // generator's spawn loop and the deque stays deep.
+        // ~2µs of spinning per task, so the deque drains over
+        // milliseconds and later requests still find work.
         const auto until =
             std::chrono::steady_clock::now() + std::chrono::microseconds(2);
         while (std::chrono::steady_clock::now() < until) {
         }
         ++done;
       });
+    const std::uint64_t sent = sent_by_thief();
+    spawned.store(true);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (sent_by_thief() == sent && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
   });
   tm.wait_idle();
   EXPECT_EQ(done.load(), n);
@@ -175,30 +196,6 @@ TEST(ChannelSteal, StealHalfBatchesMultipleTasksPerRequest) {
   // Half of a deep deque per answer: far fewer requests than stolen tasks.
   EXPECT_GT(totals.tasks_stolen, 0u);
   EXPECT_GT(totals.tasks_stolen, totals.steal_req_sent);
-}
-
-// --- request routing reuses the PR-4 steal hierarchy -----------------------
-
-TEST(ChannelSteal, RoutingOrderFollowsTopologyTiers) {
-  scheduler_config cfg = test_config(6);
-  cfg.numa_domains = 2;
-  thread_manager tm(cfg);
-  channel_steal_policy& pol = policy_of(tm);
-  for (int w = 0; w < tm.num_workers(); ++w) {
-    const std::vector<int>& order = pol.steal_order(w);
-    ASSERT_EQ(order.size(), static_cast<std::size_t>(tm.num_workers() - 1));
-    // Every other worker appears exactly once, tier distances monotone.
-    std::vector<bool> seen(static_cast<std::size_t>(tm.num_workers()), false);
-    int prev_tier = 0;
-    for (const int v : order) {
-      ASSERT_NE(v, w);
-      ASSERT_FALSE(seen[static_cast<std::size_t>(v)]);
-      seen[static_cast<std::size_t>(v)] = true;
-      const int tier = tm.steal_distance(w, v);
-      EXPECT_GE(tier, prev_tier) << "worker " << w << " victim " << v;
-      prev_tier = tier;
-    }
-  }
 }
 
 // --- checksum equivalence with the other policies --------------------------

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "perf/counters.hpp"
-#include "threads/policy_work_stealing.hpp"
+#include "sim/des.hpp"
 #include "threads/thread_manager.hpp"
+#include "topo/steal_route.hpp"
 
 namespace gran {
 namespace {
@@ -28,17 +31,19 @@ scheduler_config test_config(int workers, const std::string& policy,
   return cfg;
 }
 
-// Spawns `n` short tasks from the (external) test thread and drains them.
+// Spawns `n` short tasks from the (external) test thread, drains them, and
+// checks that each ran exactly once.
 void run_external_burst(thread_manager& tm, int n) {
-  std::atomic<int> done{0};
+  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    tm.spawn([&done] {
+    tm.spawn([&runs, i] {
       volatile double x = 1.0;
       for (int k = 0; k < 500; ++k) x = x * 1.0000001 + 0.1;
-      ++done;
+      runs[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
     });
   tm.wait_idle();
-  ASSERT_EQ(done.load(), n);
+  for (int i = 0; i < n; ++i)
+    ASSERT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
 }
 
 void expect_stolen_split_invariant(thread_manager& tm) {
@@ -65,32 +70,51 @@ void expect_stolen_split_invariant(thread_manager& tm) {
   }
 }
 
-TEST(StealOrder, HierTiersCoverAllVictimsOnce) {
-  thread_manager tm(test_config(6, "work-stealing-lifo", "hier", /*domains=*/2));
-  auto* policy = dynamic_cast<work_stealing_policy*>(&tm.policy());
-  ASSERT_NE(policy, nullptr);
-
-  // Unpinned workers have no core identity, so the SMT tier is empty; with
-  // the even 2-domain spread workers 0-2 are domain 0, workers 3-5 domain 1.
-  for (int w = 0; w < tm.num_workers(); ++w) {
-    const auto& order = policy->steal_order(w);
-    ASSERT_EQ(order.size(), 5u) << "worker " << w;
-    std::vector<bool> seen(static_cast<std::size_t>(tm.num_workers()), false);
-    seen[static_cast<std::size_t>(w)] = true;
-    for (const int v : order) {
-      EXPECT_FALSE(seen[static_cast<std::size_t>(v)]) << "duplicate victim " << v;
-      seen[static_cast<std::size_t>(v)] = true;
+// The manager's route, which every stealing policy walks: every other
+// worker once; hier in tiers of non-decreasing steal distance, flat the
+// plain ring.
+TEST(StealOrder, RouteCoversEveryVictimOnceNearestFirst) {
+  for (const char* order : {"hier", "flat"}) {
+    thread_manager tm(test_config(6, "priority-local-fifo", order, /*domains=*/2));
+    const int n = tm.num_workers();
+    for (int w = 0; w < n; ++w) {
+      const std::vector<int>& victims = tm.worker(w).route.victims();
+      ASSERT_EQ(victims.size(), static_cast<std::size_t>(n - 1)) << order << " worker " << w;
+      std::vector<bool> seen(static_cast<std::size_t>(n), false);
+      seen[static_cast<std::size_t>(w)] = true;
+      int prev_distance = 0;
+      for (std::size_t i = 0; i < victims.size(); ++i) {
+        const int v = victims[i];
+        EXPECT_FALSE(seen[static_cast<std::size_t>(v)]) << order << " duplicate victim " << v;
+        seen[static_cast<std::size_t>(v)] = true;
+        if (std::string(order) == "flat") {
+          EXPECT_EQ(v, (w + 1 + static_cast<int>(i)) % n) << "worker " << w;
+          continue;
+        }
+        const int distance = tm.steal_distance(w, v);
+        EXPECT_GE(distance, prev_distance) << "worker " << w << " victim " << v;
+        prev_distance = distance;
+      }
     }
-    const int* ends = policy->steal_tier_ends(w);
-    EXPECT_EQ(ends[0], 0);  // no SMT siblings when unpinned
-    EXPECT_EQ(ends[2], 5);
-    // Tier 1 holds exactly the same-domain peers, tier 2 the rest.
-    const int my_domain = tm.worker(w).numa_node;
-    for (int i = 0; i < ends[1]; ++i)
-      EXPECT_EQ(tm.worker(order[static_cast<std::size_t>(i)]).numa_node, my_domain);
-    for (int i = ends[1]; i < ends[2]; ++i)
-      EXPECT_NE(tm.worker(order[static_cast<std::size_t>(i)]).numa_node, my_domain);
   }
+}
+
+// DESIGN.md decision 1: a native worker and the simulated core of the same
+// index walk one route. Unpinned workers under the numa_domains override
+// are spread like the simulator's cores (w * D / n), so the routes must be
+// equal, for both orders and any domain count.
+TEST(StealOrder, NativeRouteEqualsSimulatorRoute) {
+  for (const char* order : {"hier", "flat"})
+    for (const int domains : {1, 2, 3})
+      for (const int workers : {5, 6}) {
+        thread_manager tm(test_config(workers, "priority-local-fifo", order, domains));
+        const std::vector<worker_assignment> layout = sim::core_layout(workers, domains);
+        for (int w = 0; w < workers; ++w)
+          EXPECT_TRUE(tm.worker(w).route ==
+                      steal_route::build(layout, w, steal_order_from_name(order)))
+              << order << ", " << domains << " domains, " << workers << " workers, worker "
+              << w;
+      }
 }
 
 TEST(StealOrder, StealDistanceFromWorkerIdentity) {
@@ -101,26 +125,24 @@ TEST(StealOrder, StealDistanceFromWorkerIdentity) {
   EXPECT_EQ(tm.steal_distance(3, 2), 1);
 }
 
-TEST(StealOrder, InvariantHoldsWorkStealingHier) {
-  thread_manager tm(test_config(4, "work-stealing-lifo", "hier", /*domains=*/2));
+// Every stealing policy under both orders: each task runs exactly once,
+// and the steal split adds up (stolen-local + stolen-remote == stolen).
+class StealInvariant
+    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+
+TEST_P(StealInvariant, ExactlyOnceAndStolenSplitAddsUp) {
+  const auto [policy, order] = GetParam();
+  thread_manager tm(test_config(4, policy, order, /*domains=*/2));
   tm.reset_counters();
   run_external_burst(tm, 4000);
   expect_stolen_split_invariant(tm);
 }
 
-TEST(StealOrder, InvariantHoldsWorkStealingFlat) {
-  thread_manager tm(test_config(4, "work-stealing-lifo", "flat", /*domains=*/2));
-  tm.reset_counters();
-  run_external_burst(tm, 4000);
-  expect_stolen_split_invariant(tm);
-}
-
-TEST(StealOrder, InvariantHoldsPriorityLocal) {
-  thread_manager tm(test_config(4, "priority-local-fifo", "", /*domains=*/2));
-  tm.reset_counters();
-  run_external_burst(tm, 4000);
-  expect_stolen_split_invariant(tm);
-}
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndOrders, StealInvariant,
+    ::testing::Combine(::testing::Values("priority-local-fifo", "work-stealing-lifo",
+                                         "channel-steal"),
+                       ::testing::Values("hier", "flat")));
 
 TEST(StealOrder, RemoteStealsAreCountedAcrossDomains) {
   // Two domains, all work staged by an external thread: with enough tasks
@@ -146,8 +168,11 @@ TEST(StealOrder, SingleDomainNeverCountsRemote) {
 }
 
 TEST(StealOrder, UnknownOrderThrows) {
-  EXPECT_THROW(thread_manager tm(test_config(2, "work-stealing-lifo", "sideways")),
-               std::invalid_argument);
+  for (const char* policy :
+       {"priority-local-fifo", "static-fifo", "work-stealing-lifo", "channel-steal"})
+    EXPECT_THROW(thread_manager tm(test_config(2, policy, "sideways")),
+                 std::invalid_argument)
+        << policy;
 }
 
 TEST(StealOrder, SpawnOnRunsHintedTasks) {
@@ -183,13 +208,13 @@ TEST(StealOrder, HomeWorkerForBlockCoversDomains) {
   // Block b of N maps to domain b*D/N; round-robin within the domain.
   const int first = tm.home_worker_for_block(0, 8);
   const int last = tm.home_worker_for_block(7, 8);
-  EXPECT_EQ(tm.worker(first).numa_node, 0);
-  EXPECT_EQ(tm.worker(last).numa_node, 1);
+  EXPECT_EQ(tm.worker(first).place.domain, 0);
+  EXPECT_EQ(tm.worker(last).place.domain, 1);
   for (std::uint64_t b = 0; b < 8; ++b) {
     const int w = tm.home_worker_for_block(b, 8);
     ASSERT_GE(w, 0);
     ASSERT_LT(w, tm.num_workers());
-    EXPECT_EQ(tm.worker(w).numa_node, static_cast<int>(b * 2 / 8));
+    EXPECT_EQ(tm.worker(w).place.domain, static_cast<int>(b * 2 / 8));
   }
   // Degenerate inputs stay in range.
   EXPECT_GE(tm.home_worker_for_block(0, 0), 0);

@@ -1,17 +1,21 @@
 // Unit tests for src/topo: topology discovery/synthesis, fake-sysfs
-// discovery, the pin plan, affinity, and the Table-I platform
-// specifications.
+// discovery, the pin plan, affinity, the Table-I platform specifications,
+// and the victim route.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "topo/affinity.hpp"
 #include "topo/pin_plan.hpp"
 #include "topo/platform_spec.hpp"
+#include "topo/steal_route.hpp"
 #include "topo/topology.hpp"
 
 namespace gran {
@@ -324,6 +328,98 @@ TEST(PlatformSpec, HostSpec) {
   EXPECT_EQ(host.name, "host");
   EXPECT_GE(host.cores, 1);
   EXPECT_FALSE(host.processor.empty());
+}
+
+// The victims one walk of `route` probes, in order, when none yields work.
+std::vector<int> walked(const steal_route& route, steal_route::part part,
+                        std::uint32_t sweep) {
+  std::vector<int> out;
+  route.walk(part, sweep, [&out](int v) {
+    out.push_back(v);
+    return false;
+  });
+  return out;
+}
+
+// With domains in contiguous blocks of worker indices and no SMT sibling,
+// the hier route at sweep 0 is Fig. 1's order written out: the own domain
+// in ring order after the worker, then the other domains nearest-first
+// (d+1, d+2, ... mod D), each in index order.
+TEST(StealRoute, HierIsFig1OrderOnContiguousDomains) {
+  for (int n = 1; n <= 64; ++n)
+    for (int domains = 1; domains <= std::min(4, n); ++domains) {
+      std::vector<worker_assignment> layout(static_cast<std::size_t>(n));
+      for (int w = 0; w < n; ++w) layout[static_cast<std::size_t>(w)].domain = w * domains / n;
+      for (int w = 0; w < n; ++w) {
+        const int d = w * domains / n;
+        std::vector<int> local, remote;
+        for (int k = 1; k < n; ++k)
+          if ((w + k) % n * domains / n == d) local.push_back((w + k) % n);
+        for (int k = 1; k < domains; ++k)
+          for (int v = 0; v < n; ++v)
+            if (v * domains / n == (d + k) % domains) remote.push_back(v);
+        const steal_route route = steal_route::build(layout, w, steal_order::hier);
+        EXPECT_EQ(walked(route, steal_route::part::local, 0), local)
+            << n << " workers, " << domains << " domains, worker " << w;
+        EXPECT_EQ(walked(route, steal_route::part::remote, 0), remote)
+            << n << " workers, " << domains << " domains, worker " << w;
+      }
+    }
+}
+
+// Eight workers, two per physical core, two domains of four.
+std::vector<worker_assignment> smt_layout() {
+  std::vector<worker_assignment> layout(8);
+  for (int w = 0; w < 8; ++w)
+    layout[static_cast<std::size_t>(w)] = {.cpu = w, .domain = w / 4, .core = w / 2};
+  return layout;
+}
+
+TEST(StealRoute, HierSweepRotatesInsideEachTier) {
+  const steal_route route = steal_route::build(smt_layout(), 0, steal_order::hier);
+  using part = steal_route::part;
+  EXPECT_EQ(route.victims(), (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+  // Tiers {1} (SMT sibling), {2, 3} (domain), {4, 5, 6, 7} (remote).
+  EXPECT_EQ(walked(route, part::local, 0), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(walked(route, part::local, 1), (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(walked(route, part::remote, 1), (std::vector<int>{5, 6, 7, 4}));
+  EXPECT_EQ(walked(route, part::all, 2), (std::vector<int>{1, 2, 3, 6, 7, 4, 5}));
+  // A token's circuit rotates over the whole route.
+  EXPECT_EQ(route.circuit(2, 0), 3);
+  EXPECT_EQ(route.circuit(2, 6), 2);
+  // The sibling leads the local part of every worker.
+  for (int w = 0; w < 8; ++w)
+    EXPECT_EQ(walked(steal_route::build(smt_layout(), w, steal_order::hier), part::local, 0)
+                  .front(),
+              w ^ 1);
+}
+
+TEST(StealRoute, FlatIsTheFixedRing) {
+  const steal_route route = steal_route::build(smt_layout(), 5, steal_order::flat);
+  using part = steal_route::part;
+  const std::vector<int> ring{6, 7, 0, 1, 2, 3, 4};
+  EXPECT_EQ(route.victims(), ring);
+  for (const std::uint32_t sweep : {0u, 1u, 7u}) {
+    EXPECT_EQ(walked(route, part::all, sweep), ring);
+    EXPECT_EQ(walked(route, part::local, sweep), ring);
+    EXPECT_TRUE(walked(route, part::remote, sweep).empty());
+    EXPECT_EQ(route.circuit(sweep, 0), 6);
+  }
+  EXPECT_THROW(steal_order_from_name("sideways"), std::invalid_argument);
+}
+
+TEST(StealRoute, WalkReturnsTheFirstResultThatTestsTrue) {
+  const steal_route route = steal_route::build(smt_layout(), 0, steal_order::hier);
+  std::vector<int> probed;
+  const std::optional<int> found =
+      route.walk(steal_route::part::all, 0, [&probed](int v) -> std::optional<int> {
+        probed.push_back(v);
+        if (v == 4) return v * 10;
+        return std::nullopt;
+      });
+  EXPECT_EQ(found, 40);
+  EXPECT_EQ(probed, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_FALSE(route.walk(steal_route::part::all, 0, [](int) { return false; }));
 }
 
 }  // namespace
