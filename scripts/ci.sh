@@ -34,14 +34,17 @@ for pattern in trivial serial_chain stencil1d fft binary_tree nearest spread ran
         --width=8 --steps=4 --grain-min=1000 --grain-max=2000 \
         --samples=1 --workers=2 --cores=4 >/dev/null
   done
-  # Native again under the message-passing backend — the whole pattern set
-  # must drain (termination detection) under channel-steal too; checksum
-  # equality across policies is asserted in channel_steal_test.
-  GRAN_POLICY=channel-steal ./build/bench/graph_sweep --pattern="$pattern" \
-      --mode=native --width=8 --steps=4 --grain-min=1000 --grain-max=2000 \
-      --samples=1 --workers=2 >/dev/null
+  # Native again under every other policy: the whole pattern set must drain
+  # under each one's search and parking (and channel-steal's termination
+  # detection); checksum equality across policies is asserted in
+  # channel_steal_test.
+  for policy in static-fifo work-stealing-lifo channel-steal; do
+    GRAN_POLICY=$policy ./build/bench/graph_sweep --pattern="$pattern" \
+        --mode=native --width=8 --steps=4 --grain-min=1000 --grain-max=2000 \
+        --samples=1 --workers=2 >/dev/null
+  done
 done
-echo "graph smoke: 8 patterns x {native,sim,native/channel-steal} ok"
+echo "graph smoke: 8 patterns x {native,sim} + native x {static-fifo,work-stealing-lifo,channel-steal} ok"
 
 echo "=== ci: config smoke ==="
 # One knob table (src/util/config.hpp): a malformed value exits 2 naming the

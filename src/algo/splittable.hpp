@@ -87,7 +87,7 @@ void run_splittable(thread_manager& tm, core::split_controller& ctl,
       if (join.failed.load(std::memory_order_relaxed)) break;
       ctl.maybe_observe(tm);
       switch (ctl.should_split(hi - lo, tm.starving_workers(),
-                               tm.queued_tasks())) {
+                               std::max<std::int64_t>(0, tm.queued_tasks()))) {
         case core::split_verdict::split: {
           // Keep the front half (round up: the parent retains the extra item
           // so progress is guaranteed), give away [mid, hi).

@@ -64,8 +64,6 @@ class concurrent_fifo {
     return n;
   }
 
-  bool empty_approx() const { return size_approx() == 0; }
-
  private:
   mpmc_bounded<T> ring_;
   mutable std::mutex overflow_mutex_;

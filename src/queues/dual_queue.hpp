@@ -31,9 +31,6 @@ class dual_queue {
   // --- introspection ---------------------------------------------------
   std::size_t pending_size_approx() const { return pending_.size_approx(); }
   std::size_t staged_size_approx() const { return staged_.size_approx(); }
-  bool empty_approx() const {
-    return pending_.empty_approx() && staged_.empty_approx();
-  }
 
  private:
   concurrent_fifo<Staged> staged_;

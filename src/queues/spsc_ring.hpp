@@ -94,10 +94,6 @@ class spsc_ring {
     return value;
   }
 
-  bool empty() const {
-    return tail_.load(std::memory_order_acquire) == head_.load(std::memory_order_acquire);
-  }
-
   // Approximate (racy by nature); exact when producer and consumer are
   // quiescent.
   std::size_t size_approx() const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace gran {
@@ -45,15 +46,11 @@ class scheduling_policy {
   // (thread_manager::pop_low_priority). Every queue look-up is counted
   // through thread_manager::pending_probe or staged_probe. Returns nullptr
   // when nothing is available anywhere. A returned task is in the pending
-  // state and owned by the caller.
+  // state and owned by the caller. Whether work is queued anywhere is not
+  // the policy's question: the manager counts every task from just before
+  // its enqueue to the start of its next phase (queued_tasks), so a policy
+  // may move a task between its structures without telling anyone.
   virtual task* get_next(thread_manager& tm, int w) = 0;
-
-  // True when every queue managed by the policy is (approximately) empty;
-  // a starved worker parks only then. Implementations must also treat work
-  // that is mid-handoff between two structures, or in the low-priority
-  // queue, as non-empty: they end with
-  // thread_manager::low_priority_and_handoffs_empty().
-  virtual bool queues_empty(const thread_manager& tm) const = 0;
 
   // Cooperation point: called from worker `w`'s own thread at moments the
   // manager knows the worker is responsive (task spawn, scheduler round) so
@@ -61,6 +58,16 @@ class scheduling_policy {
   // polling thread. Default is a no-op; queue-based policies ignore it.
   virtual void cooperate(thread_manager& tm, int w);
 };
+
+// Fig. 1 steps 1-2 on worker `w`'s own dual queues, the local search of
+// both dual-queue policies (priority-local-fifo, static-fifo): high-priority
+// pending (when `w` owns a high-priority queue), normal pending, then the
+// same two staged queues. A staged description is converted into the
+// pending queue it came from and taken from there. Disengaged when every
+// probe missed; once a staged probe hits the result is engaged, and it holds
+// nullptr when a thief snatched the converted task, which ends the caller's
+// search for this round.
+std::optional<task*> pop_local(thread_manager& tm, int w);
 
 // Factory by name ("priority-local-fifo", "static-fifo",
 // "work-stealing-lifo", "channel-steal"); throws std::invalid_argument on

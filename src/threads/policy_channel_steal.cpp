@@ -49,19 +49,6 @@ void channel_steal_policy::init(thread_manager& tm) {
   }
 }
 
-void channel_steal_policy::deque_push(worker_slot& s, task* t) {
-  s.deque.push_back(t);
-  s.deque_size.fetch_add(1, std::memory_order_release);
-}
-
-task* channel_steal_policy::deque_pop_back(worker_slot& s) {
-  if (s.deque.empty()) return nullptr;
-  task* t = s.deque.back();
-  s.deque.pop_back();
-  s.deque_size.fetch_sub(1, std::memory_order_release);
-  return t;
-}
-
 void channel_steal_policy::push_remote(thread_manager& tm, int target, task* t) {
   (void)tm;
   slots_[static_cast<std::size_t>(target)]->inbox.push(t);
@@ -73,7 +60,7 @@ void channel_steal_policy::enqueue_new(thread_manager& tm, int home, task* t) {
     // touch its private deque. Tasks stay staged; whoever executes them
     // pays the conversion (as in priority-local-fifo).
     GRAN_DEBUG_ASSERT(home == thread_manager::current_worker());
-    deque_push(*slots_[static_cast<std::size_t>(home)], t);
+    slots_[static_cast<std::size_t>(home)]->deque.push_back(t);
     return;
   }
   const int target =
@@ -85,7 +72,7 @@ void channel_steal_policy::enqueue_new(thread_manager& tm, int home, task* t) {
 void channel_steal_policy::enqueue_ready(thread_manager& tm, int home, task* t) {
   if (home >= 0) {
     GRAN_DEBUG_ASSERT(home == thread_manager::current_worker());
-    deque_push(*slots_[static_cast<std::size_t>(home)], t);
+    slots_[static_cast<std::size_t>(home)]->deque.push_back(t);
     return;
   }
   // External wake: prefer the task's previous worker (warm caches), but only
@@ -99,7 +86,7 @@ void channel_steal_policy::enqueue_ready(thread_manager& tm, int home, task* t) 
 
 void channel_steal_policy::enqueue_hinted(thread_manager& tm, int target, task* t) {
   if (target == thread_manager::current_worker()) {
-    deque_push(*slots_[static_cast<std::size_t>(target)], t);
+    slots_[static_cast<std::size_t>(target)]->deque.push_back(t);
     return;
   }
   push_remote(tm, target, t);
@@ -156,24 +143,20 @@ void channel_steal_policy::handle_request(thread_manager& tm, int w,
     // Serve: take from the FRONT (the breadth-first steal side) and push
     // into the thief's delivery channel. The thief drained its channel
     // before re-sending its token, so the ring is empty and every push
-    // succeeds. Bracketed as a handoff: mid-transfer the tasks are in
-    // neither structure, and queues_empty must not report empty.
+    // succeeds.
     GRAN_DEBUG_ASSERT(thief_slot.served.load(std::memory_order_relaxed) == 0);
     std::size_t batch =
         r.half ? std::max<std::size_t>(1, me.deque.size() / 2) : 1;
     batch = std::min(batch, thief_slot.delivery.capacity());
-    tm.note_handoff_begin(w);
     for (std::size_t i = 0; i < batch; ++i) {
       task* t = me.deque.front();
       me.deque.pop_front();
-      me.deque_size.fetch_sub(1, std::memory_order_release);
       const bool ok = thief_slot.delivery.push(t);
       GRAN_ASSERT_MSG(ok, "delivery channel overflow (batch exceeds capacity)");
     }
     // Announce after the last push: the thief's acquire of `served` makes
     // the whole batch visible and hands the producer role onward.
     thief_slot.served.store(pack_served(w, batch), std::memory_order_release);
-    tm.note_handoff_end(w);
     perf::trace_emit(tm.worker(w).trace, perf::trace_kind::steal_handoff, w,
                      static_cast<std::uint64_t>(batch),
                      perf::steal_arg2(r.thief, tm.steal_distance(w, r.thief)));
@@ -217,15 +200,13 @@ std::size_t channel_steal_policy::collect_batch(thread_manager& tm, int w) {
   const int victim = static_cast<int>(ann >> 32) - 1;
   const auto batch = static_cast<std::size_t>(ann & 0xffffffffull);
 
-  tm.note_handoff_begin(w);
   task* first = nullptr;
   for (std::size_t i = 0; i < batch; ++i) {
     auto t = me.delivery.pop();
     GRAN_ASSERT_MSG(t.has_value(), "announced batch short of tasks");
     if (first == nullptr) first = *t;
-    deque_push(me, *t);
+    me.deque.push_back(*t);
   }
-  tm.note_handoff_end(w);
   // Reset before the next request: the release-push of the next token
   // orders this store before the next victim's announcement.
   me.served.store(0, std::memory_order_relaxed);
@@ -251,7 +232,12 @@ task* channel_steal_policy::get_next(thread_manager& tm, int w) {
   // Owner side: LIFO pop of the private deque, then the cross-thread
   // enqueues addressed to this worker. Both count as pending-queue probes,
   // so the paper's queue metrics stay comparable across policies.
-  if (task* t = tm.pending_probe(w, deque_pop_back(me))) {
+  task* own = nullptr;
+  if (!me.deque.empty()) {
+    own = me.deque.back();
+    me.deque.pop_back();
+  }
+  if (task* t = tm.pending_probe(w, own)) {
     if (!t->has_context()) tm.convert(t);
     return t;
   }
@@ -272,17 +258,6 @@ task* channel_steal_policy::get_next(thread_manager& tm, int w) {
 
 void channel_steal_policy::cooperate(thread_manager& tm, int w) {
   service_requests(tm, w);
-}
-
-bool channel_steal_policy::queues_empty(const thread_manager& tm) const {
-  for (const auto& s : slots_) {
-    if (s->deque_size.load(std::memory_order_acquire) != 0) return false;
-    if (!s->inbox.empty_approx()) return false;
-    if (!s->delivery.empty()) return false;
-    if (s->served.load(std::memory_order_acquire) != 0) return false;
-  }
-  // Tasks mid-transfer between structures: the serve/collect brackets above.
-  return tm.low_priority_and_handoffs_empty();
 }
 
 }  // namespace gran

@@ -68,7 +68,6 @@ class channel_steal_policy final : public scheduling_policy {
   void enqueue_ready(thread_manager& tm, int home, task* t) override;
   void enqueue_hinted(thread_manager& tm, int target, task* t) override;
   task* get_next(thread_manager& tm, int w) override;
-  bool queues_empty(const thread_manager& tm) const override;
   void cooperate(thread_manager& tm, int w) override;
 
   // Steal requests currently circulating (sent and not yet resolved into a
@@ -96,10 +95,8 @@ class channel_steal_policy final : public scheduling_policy {
   struct alignas(cache_line_size) worker_slot {
     // Private deque: touched ONLY by the owning worker's thread — owner
     // spawns push and pop at the back (LIFO, depth-first), request service
-    // takes from the front (FIFO, the steal side). Size is mirrored into
-    // deque_size for the lock-free queues_empty scan.
+    // takes from the front (FIFO, the steal side).
     std::deque<task*> deque;
-    std::atomic<std::int64_t> deque_size{0};
 
     // Cross-thread enqueues (external spawns, wakes, placement hints from
     // other workers) land here; the owner drains it in get_next.
@@ -131,9 +128,6 @@ class channel_steal_policy final : public scheduling_policy {
   };
 
   void push_remote(thread_manager& tm, int target, task* t);
-  // Owner-side push/pop of the private deque (bookkeeps deque_size).
-  void deque_push(worker_slot& s, task* t);
-  task* deque_pop_back(worker_slot& s);
 
   // Victim duties for worker `w`: pop every waiting token and serve,
   // forward, or decline it. The body of cooperate().

@@ -67,38 +67,10 @@ void priority_local_policy::enqueue_ready(thread_manager& tm, int home, task* t)
 }
 
 task* priority_local_policy::get_next(thread_manager& tm, int w) {
+  // 1./2. Local pending, then local staged (pop_local).
+  if (auto t = pop_local(tm, w)) return *t;
+
   worker_data& me = tm.worker(w);
-
-  // 1. Local pending (high-priority queue first).
-  if (me.owns_high_queue)
-    if (auto t = tm.pending_probe(w, me.high_queue.pop_pending())) return *t;
-  if (auto t = tm.pending_probe(w, me.queue.pop_pending())) return *t;
-
-  // 2. Local staged: convert to pending, then take from the pending queue
-  // (the staged->pending->run round trip is what the paper's queue counters
-  // observe in HPX).
-  // Between pop_staged and push_pending the task is in neither queue; the
-  // handoff bracket keeps it visible to concurrent queues_empty scans
-  // (parking).
-  if (me.owns_high_queue) {
-    if (auto d = tm.staged_probe(w, me.high_queue.pop_staged())) {
-      tm.note_handoff_begin(w);
-      tm.convert(*d);
-      me.high_queue.push_pending(*d);
-      tm.note_handoff_end(w);
-      if (auto t = tm.pending_probe(w, me.high_queue.pop_pending())) return *t;
-      return nullptr;  // converted work was snatched; retry outer loop
-    }
-  }
-  if (auto d = tm.staged_probe(w, me.queue.pop_staged())) {
-    tm.note_handoff_begin(w);
-    tm.convert(*d);
-    me.queue.push_pending(*d);
-    tm.note_handoff_end(w);
-    if (auto t = tm.pending_probe(w, me.queue.pop_pending())) return *t;
-    return nullptr;
-  }
-
   // Steal probes, one per victim queue, a victim's high-priority queue
   // first. A stolen staged description is converted into this worker's
   // pending queue and taken from there; the result is then engaged even
@@ -110,13 +82,9 @@ task* priority_local_policy::get_next(thread_manager& tm, int w) {
     if (victim.owns_high_queue) d = tm.staged_probe(w, victim.high_queue.pop_staged());
     if (!d) d = tm.staged_probe(w, victim.queue.pop_staged());
     if (!d) return std::nullopt;
-    // Cross-worker staged steal: the same in-flight window as the local
-    // convert, but the task also changes owner mid-transfer.
-    tm.note_handoff_begin(w);
     tm.convert(*d);
     tm.record_steal(w, v, (*d)->id());
     me.queue.push_pending(*d);
-    tm.note_handoff_end(w);
     return tm.pending_probe(w, me.queue.pop_pending()).value_or(nullptr);
   };
   const auto steal_pending = [&](int v) -> std::optional<task*> {
@@ -138,14 +106,6 @@ task* priority_local_policy::get_next(thread_manager& tm, int w) {
 
   // 7. Low-priority work only when everything else is exhausted.
   return tm.pop_low_priority(w);
-}
-
-bool priority_local_policy::queues_empty(const thread_manager& tm) const {
-  for (int w = 0; w < tm.num_workers(); ++w) {
-    const worker_data& wd = tm.worker(w);
-    if (!wd.queue.empty_approx() || !wd.high_queue.empty_approx()) return false;
-  }
-  return tm.low_priority_and_handoffs_empty();
 }
 
 }  // namespace gran

@@ -13,6 +13,7 @@
 //   4. pending queues of other workers in the same NUMA domain
 //   5. staged queues of workers in remote NUMA domains
 //   6. pending queues of workers in remote NUMA domains
+// Steps 1-2 are pop_local (policy.hpp), static-fifo's whole local search.
 // Steps 3-6 walk the worker's victim route (topo/steal_route.hpp): 3-4 its
 // local part, an SMT sibling first, and 5-6 its remote part, nearest domain
 // first. On a flat route (GRAN_STEAL_ORDER=flat) steps 3-4 cover every
@@ -37,7 +38,6 @@ class priority_local_policy final : public scheduling_policy {
   void enqueue_ready(thread_manager& tm, int home, task* t) override;
   void enqueue_hinted(thread_manager& tm, int target, task* t) override;
   task* get_next(thread_manager& tm, int w) override;
-  bool queues_empty(const thread_manager& tm) const override;
 
  private:
   std::atomic<std::uint64_t> rr_normal_{0};

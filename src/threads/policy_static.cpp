@@ -53,40 +53,8 @@ void static_fifo_policy::enqueue_ready(thread_manager& tm, int home, task* t) {
 }
 
 task* static_fifo_policy::get_next(thread_manager& tm, int w) {
-  worker_data& me = tm.worker(w);
-  if (me.owns_high_queue)
-    if (auto t = tm.pending_probe(w, me.high_queue.pop_pending())) return *t;
-  if (auto t = tm.pending_probe(w, me.queue.pop_pending())) return *t;
-  // Between pop_staged and push_pending the task is in neither queue; the
-  // handoff bracket keeps it visible to concurrent queues_empty scans
-  // (parking).
-  if (me.owns_high_queue) {
-    if (auto d = tm.staged_probe(w, me.high_queue.pop_staged())) {
-      tm.note_handoff_begin(w);
-      tm.convert(*d);
-      me.high_queue.push_pending(*d);
-      tm.note_handoff_end(w);
-      if (auto t = tm.pending_probe(w, me.high_queue.pop_pending())) return *t;
-      return nullptr;
-    }
-  }
-  if (auto d = tm.staged_probe(w, me.queue.pop_staged())) {
-    tm.note_handoff_begin(w);
-    tm.convert(*d);
-    me.queue.push_pending(*d);
-    tm.note_handoff_end(w);
-    if (auto t = tm.pending_probe(w, me.queue.pop_pending())) return *t;
-    return nullptr;
-  }
+  if (auto t = pop_local(tm, w)) return *t;
   return tm.pop_low_priority(w);
-}
-
-bool static_fifo_policy::queues_empty(const thread_manager& tm) const {
-  for (int w = 0; w < tm.num_workers(); ++w) {
-    const worker_data& wd = tm.worker(w);
-    if (!wd.queue.empty_approx() || !wd.high_queue.empty_approx()) return false;
-  }
-  return tm.low_priority_and_handoffs_empty();
 }
 
 }  // namespace gran

@@ -92,13 +92,4 @@ task* work_stealing_policy::get_next(thread_manager& tm, int w) {
   return tm.pop_low_priority(w);
 }
 
-bool work_stealing_policy::queues_empty(const thread_manager& tm) const {
-  // Lock-free bottom/top scan — no mutex per worker as the old
-  // implementation had. empty_approx is conservative for the shutdown and
-  // parking protocols: a concurrent push is caught by the enqueuer's wakeup.
-  for (const auto& d : deques_)
-    if (!d->deque.empty_approx() || !d->inbox.empty_approx()) return false;
-  return tm.low_priority_and_handoffs_empty();
-}
-
 }  // namespace gran

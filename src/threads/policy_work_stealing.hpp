@@ -50,7 +50,6 @@ class work_stealing_policy final : public scheduling_policy {
   void enqueue_ready(thread_manager& tm, int home, task* t) override;
   void enqueue_hinted(thread_manager& tm, int target, task* t) override;
   task* get_next(thread_manager& tm, int w) override;
-  bool queues_empty(const thread_manager& tm) const override;
 
  private:
   struct alignas(cache_line_size) deque_slot {

@@ -176,7 +176,7 @@ void thread_manager::note_created(int w) noexcept {
 
 void thread_manager::note_queued(int w, std::int64_t delta) noexcept {
   if (w >= 0)
-    bump_owned(worker(w).cells.queued, delta);
+    bump_owned(*worker(w).queued, delta);
   else
     external_queued_.fetch_add(delta, std::memory_order_relaxed);
 }
@@ -202,14 +202,8 @@ std::uint64_t thread_manager::tasks_alive() const noexcept {
 
 std::int64_t thread_manager::queued_tasks() const noexcept {
   std::int64_t n = external_queued_.load(std::memory_order_relaxed);
-  for (const auto& wd : workers_) n += wd->cells.queued.load(std::memory_order_relaxed);
-  return std::max<std::int64_t>(0, n);
-}
-
-std::uint64_t thread_manager::handoffs_in_flight() const noexcept {
-  std::int64_t n = 0;
-  for (const auto& wd : workers_) n += wd->cells.handoffs.load(std::memory_order_acquire);
-  return static_cast<std::uint64_t>(n);
+  for (const auto& wd : workers_) n += wd->queued->load(std::memory_order_relaxed);
+  return n;
 }
 
 void thread_manager::record_spawn(int spawner, std::uint64_t id) noexcept {
@@ -299,12 +293,6 @@ task* thread_manager::pop_low_priority(int w) {
     return *d;
   }
   return nullptr;
-}
-
-bool thread_manager::low_priority_and_handoffs_empty() const noexcept {
-  // Tasks mid-transfer between two structures (staged->pending convert,
-  // staged steal, channel delivery) are momentarily in neither.
-  return handoffs_in_flight() == 0 && low_queue_.empty_approx();
 }
 
 void thread_manager::retire(int w, task* t) {
@@ -458,12 +446,13 @@ bool thread_manager::park_idle(int w) {
   bool parked = false;
   {
     std::unique_lock<std::mutex> lock(park_mutex_);
-    // Re-probe under the lock, after registering as a sleeper: any enqueue
-    // that our caller's fruitless search missed either bumped park_epoch_
-    // before we read it (producer unlocked first, so its push is visible
-    // here) or will see sleepers_ > 0 and signal us. Either way no wakeup
-    // is lost; idle_park_us bounds the damage of the impossible case.
-    if (running_.load(std::memory_order_acquire) && policy_->queues_empty(*this)) {
+    // Re-check under the lock, after registering as a sleeper and fencing:
+    // an enqueue whose count this read misses fenced after its push and
+    // will see the registration, so its producer signals us. DESIGN.md
+    // decision 7 has the argument, and the one case it leaves to the
+    // idle_park_us timeout.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (running_.load(std::memory_order_acquire) && queued_tasks() <= 0) {
       const std::uint64_t observed = park_epoch_;
       parked = true;
       perf::trace_emit(trace, perf::trace_kind::park, w);
@@ -481,7 +470,7 @@ bool thread_manager::park_idle(int w) {
 
 void thread_manager::run_phase(int w, task* t) {
   worker_data& me = worker(w);
-  bump_owned(me.cells.queued, std::int64_t{-1});
+  bump_owned(*me.queued, std::int64_t{-1});
   t->begin_phase(w);
 
   tl_task = t;
@@ -592,7 +581,7 @@ void thread_manager::run_phase(int w, task* t) {
     perf::trace_emit_at(me.trace, t1, perf::trace_kind::phase_end, w, t->id(), 1);
     pmu_end_emit();
     t->requeue_after_yield();
-    bump_owned(me.cells.queued, std::int64_t{1});
+    bump_owned(*me.queued, std::int64_t{1});
     policy_->enqueue_ready(*this, w, t);
     return;
   }
@@ -600,7 +589,7 @@ void thread_manager::run_phase(int w, task* t) {
   pmu_end_emit();
   if (!t->finalize_suspend()) {
     // A wake arrived while the task was switching away.
-    bump_owned(me.cells.queued, std::int64_t{1});
+    bump_owned(*me.queued, std::int64_t{1});
     policy_->enqueue_ready(*this, w, t);
   }
 }
@@ -797,7 +786,10 @@ void thread_manager::register_counters() {
           "tasks spawned and not yet terminated",
           [this] { return static_cast<double>(tasks_alive()); });
   reg.add("/threads/count/instantaneous/pending", counter_kind::gauge,
-          "tasks currently queued as pending across all workers", [this] {
+          "tasks queued as pending in the dual queues (priority-local-fifo, "
+          "static-fifo) and the low-priority queue; /instantaneous/queued "
+          "counts every policy's queues",
+          [this] {
             std::size_t n = low_priority_queue().pending_size_approx();
             for (int w = 0; w < num_workers(); ++w)
               n += worker(w).queue.pending_size_approx() +
@@ -805,7 +797,10 @@ void thread_manager::register_counters() {
             return static_cast<double>(n);
           });
   reg.add("/threads/count/instantaneous/staged", counter_kind::gauge,
-          "tasks currently queued as staged across all workers", [this] {
+          "tasks queued as staged in the dual queues (priority-local-fifo, "
+          "static-fifo) and the low-priority queue; /instantaneous/queued "
+          "counts every policy's queues",
+          [this] {
             std::size_t n = low_priority_queue().staged_size_approx();
             for (int w = 0; w < num_workers(); ++w)
               n += worker(w).queue.staged_size_approx() +
@@ -820,7 +815,9 @@ void thread_manager::register_counters() {
           "workers whose last scheduler round found no work",
           [this] { return static_cast<double>(starving_workers()); });
   reg.add("/threads/count/instantaneous/queued", counter_kind::gauge,
-          "tasks enqueued and not yet picked up by a worker", [this] {
+          "tasks enqueued and whose next phase has not begun, under every "
+          "policy (clamped at 0)",
+          [this] {
             return static_cast<double>(std::max<std::int64_t>(0, queued_tasks()));
           });
 

@@ -113,22 +113,6 @@ class thread_manager {
   // worker's victim route (worker_data::route) is tiered by it.
   int steal_distance(int thief, int victim) const noexcept;
 
-  // --- in-flight handoff accounting ---------------------------------------
-  // A task mid-transfer between two queue structures (staged-steal convert,
-  // channel delivery) is momentarily in *neither*, so a concurrent
-  // queues_empty scan would under-count. Worker `w` brackets each transfer
-  // it makes with begin/end, on its own thread, in its own cell; every
-  // policy's queues_empty treats a non-zero sum as non-empty. The scan only
-  // decides whether a worker parks: the task in flight is in the hands of
-  // the awake worker moving it, and liveness is tasks_alive's business.
-  void note_handoff_begin(int w) noexcept {
-    bump_owned(worker(w).cells.handoffs, std::int64_t{1});
-  }
-  void note_handoff_end(int w) noexcept {
-    bump_owned(worker(w).cells.handoffs, std::int64_t{-1});
-  }
-  std::uint64_t handoffs_in_flight() const noexcept;
-
   // --- queue probes and steals, counted in the calling worker's cells ------
   // Every policy counts its queue look-ups through these two calls, so the
   // pending/staged access and miss counters mean the same under all four:
@@ -159,9 +143,6 @@ class thread_manager {
   // low-priority queue's pending side, then its staged side, converting a
   // staged task it takes. nullptr when both are empty.
   task* pop_low_priority(int w);
-  // The shared tail of every policy's queues_empty: no task sits in the
-  // low-priority queue or between two queue structures.
-  bool low_priority_and_handoffs_empty() const noexcept;
 
   // Wakes parked workers (all=false: one). Public so message-passing
   // policies can signal after pushing work into another worker's channel —
@@ -195,12 +176,15 @@ class thread_manager {
     return starving_.load(std::memory_order_relaxed);
   }
 
-  // Tasks currently sitting in a queue (enqueued — spawned, woken, or
-  // re-queued after a yield — and not yet picked up by a worker): the sum
-  // of the per-worker queued cells, clamped at zero. Advisory and
-  // momentarily stale; the split controller subtracts it from the starving
-  // count so workers that are merely slow to wake up to *existing* supply
-  // do not read as demand for more.
+  // Tasks queued under any policy: enqueued (spawned, woken, or re-queued
+  // after a yield) and whose next phase has not begun, whichever queue
+  // structure holds them meanwhile. The raw sum of the per-worker queued
+  // cells: a reader that races enqueues may see a dequeue before its
+  // enqueue, so it can read low, and below zero; a reader that needs a
+  // count clamps it. A starved worker parks only while it reads <= 0
+  // (park_idle, DESIGN.md decision 7); the split controller weighs it as
+  // supply against the starving count, so workers that are merely slow to
+  // wake up to *existing* work do not read as demand for more.
   std::int64_t queued_tasks() const noexcept;
 
   // Spawns that arrived through the external lane (spawn/spawn_on from a
@@ -312,13 +296,13 @@ class thread_manager {
   // --- event-based idle parking ------------------------------------------
   // Starved workers park on a condition variable; every enqueue signals it.
   // The sleeper count lets producers skip the mutex entirely when nobody is
-  // parked (the common case under load). Missed-wakeup freedom: a worker
-  // registers as a sleeper with a seq_cst RMW, *then* re-probes the queues;
-  // a producer publishes its push, issues a seq_cst fence, *then* reads the
-  // sleeper count — one of the two must observe the other (Dekker).
+  // parked (the common case under load). Missed-wakeup freedom (DESIGN.md
+  // decision 7): a worker registers as a sleeper, fences, *then* reads the
+  // queued count; a producer counts and pushes its task, fences, *then*
+  // reads the sleeper count — one of the two must observe the other.
   void notify_work(bool all = false);
   // Parks worker `w` (the caller) for at most cfg_.idle_park_us. Returns
-  // false when the re-probe found work and the park was skipped.
+  // false when the queued count showed work and the park was skipped.
   bool park_idle(int w);
 
   scheduler_config cfg_;
@@ -341,7 +325,7 @@ class thread_manager {
   // on starvation edges, read from the splittable hot loop on every poll.
   alignas(cache_line_size) std::atomic<int> starving_{0};
   // Creations and enqueues from threads that are not this manager's
-  // workers (read-modify-writes; see worker_counters and queue_cells).
+  // workers (read-modify-writes; see worker_counters and worker_data::queued).
   worker_counters external_counters_;
   alignas(cache_line_size) std::atomic<std::int64_t> external_queued_{0};
 

@@ -115,20 +115,6 @@ struct worker_counters {
   alignas(cache_line_size) std::array<std::atomic<std::uint64_t>, size> base_{};
 };
 
-// Queue-occupancy cells of one worker, on a line of their own, written only
-// by the owning worker with bump_owned and summed on demand
-// (thread_manager::queued_tasks, handoffs_in_flight). Threads that are not
-// workers share one more `queued` cell and update it with
-// read-modify-writes. Neither is a counter: reset_counters leaves them.
-struct alignas(cache_line_size) queue_cells {
-  // Enqueues by this thread minus dequeues by this worker; advisory, and
-  // negative in one cell whenever another thread queued what this one ran.
-  std::atomic<std::int64_t> queued{0};
-  // Tasks this worker holds between two queue structures
-  // (thread_manager::note_handoff_begin).
-  std::atomic<std::int64_t> handoffs{0};
-};
-
 struct worker_data {
   explicit worker_data(std::size_t ring_capacity)
       : queue(ring_capacity), high_queue(ring_capacity) {}
@@ -140,7 +126,15 @@ struct worker_data {
   dual_queue<task*, task*> high_queue;
 
   worker_counters counters;
-  queue_cells cells;
+  // Tasks this worker enqueued minus phases it began, on a line of its own:
+  // +1 just before each enqueue, -1 at the start of the phase that takes a
+  // task out of the queues, so a task is counted in between whichever queue
+  // structure holds it. Negative whenever another thread queued what this
+  // worker ran. Written only by this worker with bump_owned and summed on
+  // demand (thread_manager::queued_tasks); threads that are not workers
+  // share one more cell and update it with read-modify-writes. Not a
+  // counter: reset_counters leaves it.
+  padded<std::atomic<std::int64_t>> queued;
 
   // Distribution counters (always on; see perf/histogram.hpp):
   //   task-duration — total t_exec of each completed task, ns;

@@ -234,11 +234,12 @@ TEST(ChannelSteal, GraphChecksumsMatchOtherPolicies) {
 // --- racy shutdown (in-flight handoff regression) --------------------------
 
 // Tasks handed off between structures (channel deliveries, staged-steal
-// converts) are momentarily in no queue; queues_empty must still see them
-// (thread_manager::handoffs_in_flight), or a racing park/shutdown observes
-// an empty pool while work is in flight. Hammer construction, cross-thread
-// spawning, yields (requeue traffic) and immediate destruction under every
-// policy; nothing may be lost.
+// converts) are momentarily in no queue. The queued count a parking worker
+// reads keeps them until their next phase begins, and shutdown waits on the
+// liveness cells, so neither may observe an empty pool while work is in
+// flight. Hammer construction, cross-thread spawning, yields (requeue
+// traffic) and immediate destruction under every policy; nothing may be
+// lost.
 TEST(ChannelSteal, RacyShutdownLosesNoTasksUnderAnyPolicy) {
   for (const char* policy :
        {"priority-local-fifo", "static-fifo", "work-stealing-lifo",

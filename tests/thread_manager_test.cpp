@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "async/async.hpp"
 #include "perf/heartbeat.hpp"
 #include "sync/latch.hpp"
 #include "threads/runtime.hpp"
@@ -25,6 +26,42 @@ scheduler_config test_config(int workers, const std::string& policy = "priority-
   cfg.policy = policy;
   cfg.pin_workers = false;  // the CI host is oversubscribed
   return cfg;
+}
+
+// A pool whose starved workers go from spinning straight to the park
+// check, with no OS-yield phase in between: on a loaded host each
+// sched_yield can give away a whole time slice, so a worker in that phase
+// probes as rarely as a parked one, for as long as a second.
+scheduler_config no_yield_config(int workers, const std::string& policy) {
+  scheduler_config cfg = test_config(workers, policy);
+  cfg.idle_yield_limit = cfg.idle_spin_limit;
+  return cfg;
+}
+
+// Pending-queue misses worker `w` makes in a 20 ms window. A worker that
+// keeps searching makes hundreds of thousands; a parked one wakes every
+// idle_park_us (2 ms) for one round of a few probes, under 100 in all.
+std::uint64_t pending_misses_in_window(const thread_manager& tm, int w) {
+  const auto misses = [&] { return tm.worker(w).counters.read(counter_event::pending_misses); };
+  const std::uint64_t before = misses();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  return misses() - before;
+}
+// Far above what a parked worker makes in that window and far below a
+// searching one, even when a loaded host stretches the window.
+constexpr std::uint64_t parked_misses_ceiling = 5000;
+
+// True once every worker of `tm` stays parked through one window; false if
+// that has not happened within 10 s.
+bool pool_parks(const thread_manager& tm) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    bool parked = true;
+    for (int w = 0; w < tm.num_workers() && parked; ++w)
+      parked = pending_misses_in_window(tm, w) < parked_misses_ceiling;
+    if (parked) return true;
+  }
+  return false;
 }
 
 TEST(ThreadManager, RunsSpawnedTasks) {
@@ -266,6 +303,42 @@ TEST_P(PolicyParam, WaitIdleNeverReturnsWhileATaskIsAlive) {
   reader.join();
   EXPECT_FALSE(over_spawned.load());
   EXPECT_EQ(spawned.load(), 200u * tree);
+}
+
+// Every way a task enters a queue (external and in-task spawns, a yield's
+// re-enqueue, a wake from a future or from an external latch, each
+// priority) adds one to the queued count and the start of its next phase
+// takes one away, so a drained pool reads exactly zero, unclamped, and
+// parks.
+TEST_P(PolicyParam, DrainedPoolParksWithNothingCountedQueued) {
+  thread_manager tm(no_yield_config(4, GetParam()));
+  constexpr int roots = 200;
+  const task_priority priorities[] = {task_priority::normal, task_priority::high,
+                                      task_priority::low};
+  std::atomic<long> sum{0};
+  latch gate(1);
+  std::thread external([&] {
+    for (int i = 0; i < roots; ++i) {
+      tm.spawn(
+          [&tm, &sum, &gate, i] {
+            auto child = async_on(tm, task_priority::normal, [i] {
+              this_task::yield();
+              return i;
+            });
+            this_task::yield();
+            if (i % 4 == 0) gate.wait();
+            sum.fetch_add(child.get());
+            tm.spawn([&sum] { sum.fetch_add(1); }, task_priority::low);
+          },
+          priorities[i % 3]);
+    }
+    gate.count_down();
+  });
+  external.join();
+  tm.wait_idle();
+  EXPECT_EQ(sum.load(), roots * (roots - 1) / 2 + roots);
+  EXPECT_TRUE(pool_parks(tm));
+  EXPECT_EQ(tm.queued_tasks(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyParam,
@@ -556,27 +629,60 @@ TEST(ThreadManager, GranWorkersEnvDefault) {
   }
 }
 
+// `queued` counts every policy's queues; `pending` and `staged` scan the
+// dual queues, which only the two dual-queue policies fill.
 TEST(ThreadManager, InstantaneousQueueGauges) {
-  thread_manager tm(test_config(1));
-  auto& reg = perf::registry::instance();
-  // Block the single worker, then queue work and observe the gauges. The
-  // blocker spins on an OS-level yield: a cooperative wait would suspend the
-  // task and free the worker to drain the queue under the test's feet.
+  for (const std::string policy :
+       {"priority-local-fifo", "static-fifo", "work-stealing-lifo", "channel-steal"}) {
+    SCOPED_TRACE(policy);
+    thread_manager tm(test_config(1, policy));
+    auto& reg = perf::registry::instance();
+    // Block the single worker, then queue work and observe the gauges. The
+    // blocker spins on an OS-level yield: a cooperative wait would suspend
+    // the task and free the worker to drain the queue under the test's feet.
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    tm.spawn([&] {
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+    while (!started.load()) std::this_thread::yield();
+    for (int i = 0; i < 10; ++i) tm.spawn([] {});
+    EXPECT_GE(reg.value_or("/threads/count/instantaneous/queued", 0), 10.0);
+    if (policy == "priority-local-fifo" || policy == "static-fifo") {
+      const double in_dual_queues =
+          reg.value_or("/threads/count/instantaneous/pending", 0) +
+          reg.value_or("/threads/count/instantaneous/staged", 0);
+      EXPECT_GE(in_dual_queues, 10.0);
+    }
+    release.store(true);
+    tm.wait_idle();
+    EXPECT_EQ(reg.value_or("/threads/count/instantaneous/alive", -1), 0.0);
+  }
+}
+
+// Under static-fifo, which never steals, worker 1 idles while a task waits
+// behind the one worker 0 is running. A worker parks only while the queued
+// count reads zero, so worker 1 must keep searching (DESIGN.md decision 7).
+TEST(ThreadManager, IdleWorkerDoesNotParkWhileATaskIsQueued) {
+  thread_manager tm(no_yield_config(2, "static-fifo"));
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
-  tm.spawn([&] {
+  tm.spawn_on(0, [&] {
     started.store(true);
     while (!release.load()) std::this_thread::yield();
   });
   while (!started.load()) std::this_thread::yield();
-  for (int i = 0; i < 10; ++i) tm.spawn([] {});
-  const double queued =
-      reg.value_or("/threads/count/instantaneous/pending", 0) +
-      reg.value_or("/threads/count/instantaneous/staged", 0);
-  EXPECT_GE(queued, 10.0);
+  std::atomic<bool> ran{false};
+  tm.spawn_on(0, [&ran] { ran.store(true); });
+  // Past worker 1's spin phase (about 0.1 ms), to where a worker that saw
+  // no queued work would park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::uint64_t misses = pending_misses_in_window(tm, 1);
+  EXPECT_FALSE(ran.load());
   release.store(true);
   tm.wait_idle();
-  EXPECT_EQ(reg.value_or("/threads/count/instantaneous/alive", -1), 0.0);
+  EXPECT_GE(misses, parked_misses_ceiling) << "worker 1 parked beside a queued task";
 }
 
 
