@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Builds the task-lifecycle tests under AddressSanitizer + UndefinedBehavior-
-# Sanitizer and runs them with leak detection on: the per-thread stack and
-# task caches (util/magazine_cache.hpp), the fiber-in-task object and the
-# per-worker liveness cells.
+# Builds the task-lifecycle and wait-path tests under AddressSanitizer +
+# UndefinedBehaviorSanitizer and runs them with leak detection on: the
+# per-thread stack and task caches (util/magazine_cache.hpp), the
+# fiber-in-task object, the per-worker liveness cells, and the waits that
+# block through block_until (sync/wait_queue.hpp), where a stale waiter
+# entry would wake a retired task.
 #
 #   scripts/asan_check.sh [extra gtest args...]
 #
@@ -12,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=build-asan
-TESTS=(fiber_test task_test thread_manager_test alloc_test)
+TESTS=(fiber_test task_test thread_manager_test alloc_test sync_test async_test algo_test timer_test)
 
 cmake -B "$BUILD" -S . \
   -DGRAN_SANITIZE=address \

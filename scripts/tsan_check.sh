@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=build-tsan
-TESTS=(config_test chase_lev_test queues_test fiber_test task_test thread_manager_test perf_test channel_steal_test steal_order_test sync_test async_test trace_test telemetry_test analysis_test pmu_test graph_test dag_fuzz_test stencil_test split_test service_test)
+TESTS=(config_test chase_lev_test queues_test fiber_test task_test thread_manager_test perf_test channel_steal_test steal_order_test sync_test async_test trace_test telemetry_test analysis_test pmu_test graph_test dag_fuzz_test stencil_test split_test service_test algo_test timer_test)
 
 cmake -B "$BUILD" -S . \
   -DGRAN_SANITIZE=thread \

@@ -17,7 +17,6 @@
 #include "algo/chunking.hpp"
 #include "algo/splittable.hpp"
 #include "sync/latch.hpp"
-#include "sync/spinlock.hpp"
 #include "threads/runtime.hpp"
 #include "threads/thread_manager.hpp"
 
@@ -25,40 +24,40 @@ namespace gran::algo {
 
 namespace detail {
 
-// Runs one wave of chunk tasks over [first, last); records the first
-// exception into `error`. Each chunk is hinted to the worker whose NUMA
-// domain owns its slice of the index space (home_worker_for_block), a
-// mapping that stays stable across chunk-size changes so repeated loops over
-// the same data keep touching the same domains. The hint is advisory — any
-// worker may still steal the chunk.
-template <typename F>
+// Runs one wave of chunk tasks over [first, last): the chunk [lo, hi) with
+// position `index` in the wave calls body(lo, hi, index). Each chunk is
+// hinted to the worker whose NUMA domain owns its slice of the index space
+// (home_worker_for_block), a mapping that stays stable across chunk-size
+// changes so repeated loops over the same data keep touching the same
+// domains. The hint is advisory — any worker may still steal the chunk. The
+// first exception a chunk throws is rethrown once the wave has drained;
+// chunks that start after it skip their body. Every chunked loop in algo/
+// runs through here.
+template <typename Body>
 void run_wave(thread_manager& tm, std::size_t first, std::size_t last,
-              std::size_t chunk, const F& fn, std::atomic<bool>& failed,
-              std::exception_ptr& error, spinlock& error_guard) {
+              std::size_t chunk, const Body& body, const char* description) {
   const std::size_t items = last - first;
-  const std::size_t tasks = (items + chunk - 1) / chunk;
-  latch done(static_cast<std::int64_t>(tasks));
-  for (std::size_t lo = first; lo < last; lo += chunk) {
+  latch done(static_cast<std::int64_t>((items + chunk - 1) / chunk));
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // written only by the chunk that sets `failed`
+  std::size_t index = 0;
+  for (std::size_t lo = first; lo < last; lo += chunk, ++index) {
     const std::size_t hi = std::min(last, lo + chunk);
-    const int home = tm.home_worker_for_block(lo - first, items);
     tm.spawn_on(
-        home,
-        [&, lo, hi] {
+        tm.home_worker_for_block(lo - first, items),
+        [&, lo, hi, index] {
           try {
-            if (!failed.load(std::memory_order_relaxed))
-              for (std::size_t i = lo; i < hi; ++i) fn(i);
+            if (!failed.load(std::memory_order_relaxed)) body(lo, hi, index);
           } catch (...) {
-            if (!failed.exchange(true, std::memory_order_acq_rel)) {
-              error_guard.lock();
+            if (!failed.exchange(true, std::memory_order_acq_rel))
               error = std::current_exception();
-              error_guard.unlock();
-            }
           }
           done.count_down();
         },
-        task_priority::normal, "parallel_for");
+        task_priority::normal, description);
   }
   done.wait();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace detail
@@ -68,28 +67,20 @@ template <typename F>
 void parallel_for(thread_manager& tm, std::size_t first, std::size_t last, F&& fn,
                   const chunking& policy = auto_chunk{}) {
   if (first >= last) return;
-  const std::size_t items = last - first;
-
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  spinlock error_guard;
-
   if (const auto* lazy = std::get_if<lazy_chunk>(&policy)) {
     // Demand-driven: coarse per-worker blocks, split only when the runtime
     // observes starvation. No grain parameter.
     core::split_controller ctl(lazy->options);
-    try {
-      splittable_for(tm, ctl, first, last, fn, lazy->initial_tasks);
-    } catch (...) {
-      failed.store(true, std::memory_order_release);
-      error = std::current_exception();
-    }
-  } else {
-    const std::size_t chunk = resolve_chunk(policy, items, tm.num_workers());
-    detail::run_wave(tm, first, last, chunk, fn, failed, error, error_guard);
+    splittable_for(tm, ctl, first, last, fn, lazy->initial_tasks);
+    return;
   }
-
-  if (failed.load(std::memory_order_acquire) && error) std::rethrow_exception(error);
+  const std::size_t chunk = resolve_chunk(policy, last - first, tm.num_workers());
+  detail::run_wave(
+      tm, first, last, chunk,
+      [&fn](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t i = lo; i < hi; ++i) fn(i);
+      },
+      "parallel_for");
 }
 
 // Convenience overload on the resolved default manager.

@@ -9,15 +9,14 @@
 // (important for floating-point reproducibility across runs).
 //
 // `init` must be the identity of `combine` (0 for +, +inf for min, ...):
-// every chunk starts its partial from it.
+// every chunk starts its partial from it. An exception from `map` or
+// `combine` is rethrown in the caller once the wave has drained, as in
+// parallel_for.
 #pragma once
 
 #include <vector>
 
-#include "algo/chunking.hpp"
-#include "sync/latch.hpp"
-#include "threads/runtime.hpp"
-#include "threads/thread_manager.hpp"
+#include "algo/parallel_for.hpp"
 
 namespace gran::algo {
 
@@ -28,24 +27,15 @@ T parallel_reduce(thread_manager& tm, std::size_t first, std::size_t last, T ini
   const std::size_t items = last - first;
   const std::size_t chunk = resolve_chunk(policy, items, tm.num_workers());
 
-  const std::size_t tasks = (items + chunk - 1) / chunk;
-  std::vector<T> partials(tasks, init);
-  latch done(static_cast<std::int64_t>(tasks));
-
-  std::size_t index = 0;
-  for (std::size_t lo = first; lo < last; lo += chunk, ++index) {
-    const std::size_t hi = std::min(last, lo + chunk);
-    T* slot = &partials[index];
-    tm.spawn(
-        [&map, &combine, &done, slot, lo, hi] {
-          T acc = *slot;
-          for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
-          *slot = std::move(acc);
-          done.count_down();
-        },
-        task_priority::normal, "parallel_reduce");
-  }
-  done.wait();
+  std::vector<T> partials((items + chunk - 1) / chunk, init);
+  detail::run_wave(
+      tm, first, last, chunk,
+      [&](std::size_t lo, std::size_t hi, std::size_t index) {
+        T acc = partials[index];
+        for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
+        partials[index] = std::move(acc);
+      },
+      "parallel_reduce");
 
   T result = init;
   for (auto& p : partials) result = combine(std::move(result), std::move(p));

@@ -3,15 +3,14 @@
 // The scan uses the classic two-phase scheme: (1) each chunk reduces its
 // range in parallel, (2) chunk offsets are combined sequentially (cheap:
 // one value per chunk), (3) each chunk scans its range in parallel seeded
-// with its offset. Deterministic for a fixed chunk size.
+// with its offset. Deterministic for a fixed chunk size. As in
+// parallel_for, an exception from map, combine or sink is rethrown in the
+// caller once its wave has drained.
 #pragma once
 
 #include <vector>
 
-#include "algo/chunking.hpp"
-#include "sync/latch.hpp"
-#include "threads/runtime.hpp"
-#include "threads/thread_manager.hpp"
+#include "algo/parallel_for.hpp"
 
 namespace gran::algo {
 
@@ -29,23 +28,14 @@ void parallel_inclusive_scan(thread_manager& tm, std::size_t first, std::size_t 
 
   // Phase 1: per-chunk totals, in parallel.
   std::vector<T> totals(tasks, init);
-  {
-    latch done(static_cast<std::int64_t>(tasks));
-    std::size_t index = 0;
-    for (std::size_t lo = first; lo < last; lo += chunk, ++index) {
-      const std::size_t hi = std::min(last, lo + chunk);
-      T* slot = &totals[index];
-      tm.spawn(
-          [&map, &combine, &done, slot, lo, hi] {
-            T acc = *slot;
-            for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
-            *slot = std::move(acc);
-            done.count_down();
-          },
-          task_priority::normal, "scan-reduce");
-    }
-    done.wait();
-  }
+  detail::run_wave(
+      tm, first, last, chunk,
+      [&](std::size_t lo, std::size_t hi, std::size_t index) {
+        T acc = totals[index];
+        for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
+        totals[index] = std::move(acc);
+      },
+      "scan-reduce");
 
   // Phase 2: exclusive offsets per chunk (sequential, one value per chunk).
   std::vector<T> offsets(tasks, init);
@@ -56,25 +46,16 @@ void parallel_inclusive_scan(thread_manager& tm, std::size_t first, std::size_t 
   }
 
   // Phase 3: per-chunk scan seeded with the offset, in parallel.
-  {
-    latch done(static_cast<std::int64_t>(tasks));
-    std::size_t index = 0;
-    for (std::size_t lo = first; lo < last; lo += chunk, ++index) {
-      const std::size_t hi = std::min(last, lo + chunk);
-      const T* offset = &offsets[index];
-      tm.spawn(
-          [&map, &combine, &sink, &done, offset, lo, hi] {
-            T acc = *offset;
-            for (std::size_t i = lo; i < hi; ++i) {
-              acc = combine(std::move(acc), map(i));
-              sink(i, acc);
-            }
-            done.count_down();
-          },
-          task_priority::normal, "scan-apply");
-    }
-    done.wait();
-  }
+  detail::run_wave(
+      tm, first, last, chunk,
+      [&](std::size_t lo, std::size_t hi, std::size_t index) {
+        T acc = offsets[index];
+        for (std::size_t i = lo; i < hi; ++i) {
+          acc = combine(std::move(acc), map(i));
+          sink(i, acc);
+        }
+      },
+      "scan-apply");
 }
 
 // Convenience: scans `in` into a returned vector.
@@ -96,18 +77,12 @@ void parallel_transform(thread_manager& tm, std::size_t first, std::size_t last,
                         Fn&& fn, Sink&& sink, const chunking& policy = auto_chunk{}) {
   if (first >= last) return;
   const std::size_t chunk = resolve_chunk(policy, last - first, tm.num_workers());
-  const std::size_t tasks = (last - first + chunk - 1) / chunk;
-  latch done(static_cast<std::int64_t>(tasks));
-  for (std::size_t lo = first; lo < last; lo += chunk) {
-    const std::size_t hi = std::min(last, lo + chunk);
-    tm.spawn(
-        [&fn, &sink, &done, lo, hi] {
-          for (std::size_t i = lo; i < hi; ++i) sink(i, fn(i));
-          done.count_down();
-        },
-        task_priority::normal, "parallel_transform");
-  }
-  done.wait();
+  detail::run_wave(
+      tm, first, last, chunk,
+      [&](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t i = lo; i < hi; ++i) sink(i, fn(i));
+      },
+      "parallel_transform");
 }
 
 }  // namespace gran::algo

@@ -111,30 +111,7 @@ class shared_state {
   // --- consumer side ------------------------------------------------------
 
   void wait() const {
-    if (is_ready()) return;
-    for (;;) {
-      task* const t = thread_manager::current_task();
-      if (t != nullptr) this_task::prepare_suspend();
-
-      guard_.lock();
-      if (is_ready()) {
-        guard_.unlock();
-        if (t != nullptr) this_task::cancel_suspend();
-        return;
-      }
-      if (t != nullptr) {
-        waiters_.add_task(t);
-        guard_.unlock();
-        this_task::commit_suspend();
-        // Readiness is monotonic; loop only as spurious-wake insurance.
-      } else {
-        external_waiter w;
-        waiters_.add_external(&w);
-        guard_.unlock();
-        w.wait();
-        return;
-      }
-    }
+    if (!is_ready()) block_until(guard_, waiters_, [this] { return is_ready(); });
   }
 
   // Timed wait: blocks until ready or `deadline`. Returns true when the

@@ -64,6 +64,14 @@ struct task_state {
 struct worker_state {
   std::uint64_t first = ~std::uint64_t{0};
   std::uint64_t last = 0;
+  // worker_start/worker_stop pairs, the first and last Σt_func stamps of
+  // each worker loop run on this lane (one per manager). `unpaired` marks a
+  // start or a stop whose partner is missing (wrapped ring, live capture).
+  bool started = false;
+  bool unpaired = false;
+  std::uint64_t start = 0;
+  std::uint64_t loop_pairs = 0;
+  std::uint64_t loop_ticks = 0;
   std::uint64_t busy_ticks = 0;
   std::uint64_t parked_ticks = 0;
   bool parked = false;
@@ -315,6 +323,20 @@ analysis_result analyze_trace(const trace_dump& dump, const analysis_options& op
         }
         break;
       }
+      case trace_kind::worker_start:
+        if (w.started) w.unpaired = true;
+        w.started = true;
+        w.start = e.ticks;
+        break;
+      case trace_kind::worker_stop:
+        if (w.started && e.ticks >= w.start) {
+          w.loop_ticks += e.ticks - w.start;
+          ++w.loop_pairs;
+        } else {
+          w.unpaired = true;
+        }
+        w.started = false;
+        break;
       case trace_kind::pending_miss:
       case trace_kind::pin_rejected:
       case trace_kind::steal_request:
@@ -328,16 +350,21 @@ analysis_result analyze_trace(const trace_dump& dump, const analysis_options& op
   const double npt = r.ns_per_tick;
   r.wall_ns = static_cast<double>(wall_end - wall_begin) * npt;
 
-  // Per-worker timelines and the trace-side Eq. 1–3 inputs. The external
-  // lane only carries provenance from non-worker threads — it is not a
-  // scheduler loop, so it contributes nothing to func.
+  // Per-worker timelines and the trace-side Eq. 1–3 inputs. A lane's func
+  // span is the sum of its worker_start..worker_stop pairs, the stamps that
+  // bound each worker loop's Σt_func; a lane whose pairs are incomplete (a
+  // live capture, a wrapped ring) or absent (an older dump) falls back to
+  // its first..last event. The external lane only carries provenance from
+  // non-worker threads — it is not a scheduler loop, so it contributes
+  // nothing to func.
   for (const auto& [widx, w] : ws) {
     if (widx == external_worker) continue;
     worker_timeline wt;
     wt.worker = widx;
-    wt.span_ns = w.first <= w.last
-                     ? static_cast<double>(w.last - w.first) * npt
-                     : 0;
+    if (w.loop_pairs > 0 && !w.unpaired && !w.started)
+      wt.span_ns = static_cast<double>(w.loop_ticks) * npt;
+    else if (w.first <= w.last)
+      wt.span_ns = static_cast<double>(w.last - w.first) * npt;
     wt.busy_ns = static_cast<double>(w.busy_ticks) * npt;
     wt.parked_ns = static_cast<double>(w.parked_ticks) * npt;
     wt.tasks_completed = w.completed;

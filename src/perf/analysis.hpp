@@ -84,7 +84,7 @@ struct task_record {
 // One worker's reconstructed timeline.
 struct worker_timeline {
   std::uint16_t worker = 0;
-  double span_ns = 0;    // first event -> last event on the lane
+  double span_ns = 0;    // worker_start -> worker_stop (else first -> last event)
   double busy_ns = 0;    // sum of phase slices
   double parked_ns = 0;  // sum of park->unpark intervals
   std::uint64_t tasks_completed = 0;

@@ -379,9 +379,11 @@ void tracer::write_chrome_json(std::ostream& os) const {
         case trace_kind::task_enqueue:
         case trace_kind::graph_node:
         case trace_kind::task_pmu:
-          // Provenance records for the offline analyzer; rendering them as
-          // instants would drown the Perfetto view at one per task (two per
-          // phase for task_pmu).
+        case trace_kind::worker_start:
+        case trace_kind::worker_stop:
+          // Provenance and func-span records for the offline analyzer;
+          // rendering them as instants would drown the Perfetto view at one
+          // per task (two per phase for task_pmu).
           break;
       }
     }

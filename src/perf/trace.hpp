@@ -79,6 +79,10 @@ enum class trace_kind : std::uint16_t {
                   //   instructions), arg2 = LLC misses — all saturated to
                   //   32 bits (a 4-second slice at 1 GHz; per-phase deltas
                   //   at paper grains sit orders of magnitude below that)
+  worker_start = 15,  // the worker loop's first Σt_func stamp
+  worker_stop = 16,   // its last Σt_func stamp, after the loop exits; the
+                      //   pair spans exactly the lane's /time/overall, so
+                      //   the analyzer takes a lane's func from it
 };
 
 // Worker index recorded for events emitted by non-worker threads (the

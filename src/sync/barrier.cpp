@@ -9,51 +9,25 @@ barrier::barrier(std::int64_t expected, std::function<void()> on_completion)
   GRAN_ASSERT(expected >= 1);
 }
 
-void barrier::arrive_and_wait() {
-  task* const t = thread_manager::current_task();
-  if (t != nullptr) this_task::prepare_suspend();
+wait_queue barrier::complete_phase() {
+  if (on_completion_) on_completion_();
+  arrived_ = 0;
+  ++phase_;
+  return waiters_.detach_all();
+}
 
+void barrier::arrive_and_wait() {
   guard_.lock();
   const std::uint64_t my_phase = phase_;
-  ++arrived_;
-  if (arrived_ == expected_) {
-    // Phase complete: run the completion, flip the phase, release everyone
-    // (dispatch outside the spinlock — see wait_queue docs).
-    if (on_completion_) on_completion_();
-    arrived_ = 0;
-    ++phase_;
-    wait_queue to_wake = waiters_.detach_all();
+  if (++arrived_ == expected_) {
+    // Release everyone outside the spinlock (see wait_queue docs).
+    wait_queue to_wake = complete_phase();
     guard_.unlock();
-    if (t != nullptr) this_task::cancel_suspend();
     to_wake.dispatch_all();
     return;
   }
-
-  if (t != nullptr) {
-    waiters_.add_task(t);
-    guard_.unlock();
-    // Wait until the phase advances; a barging wake from a later phase is
-    // impossible because notify_all only fires on our phase's completion,
-    // but re-check the phase to be robust against spurious wakes.
-    for (;;) {
-      this_task::commit_suspend();
-      guard_.lock();
-      const bool advanced = phase_ != my_phase;
-      if (advanced) {
-        guard_.unlock();
-        return;
-      }
-      this_task::prepare_suspend();
-      waiters_.add_task(t);
-      guard_.unlock();
-    }
-  } else {
-    external_waiter w;
-    waiters_.add_external(&w);
-    guard_.unlock();
-    w.wait();
-    // External waiters are only notified on phase completion.
-  }
+  guard_.unlock();
+  block_until(guard_, waiters_, [&] { return phase_ != my_phase; });
 }
 
 void barrier::arrive_and_drop() {
@@ -62,12 +36,7 @@ void barrier::arrive_and_drop() {
   --expected_;
   // Dropping may satisfy the current phase for the remaining participants.
   wait_queue to_wake;
-  if (expected_ > 0 && arrived_ == expected_) {
-    if (on_completion_) on_completion_();
-    arrived_ = 0;
-    ++phase_;
-    to_wake = waiters_.detach_all();
-  }
+  if (expected_ > 0 && arrived_ == expected_) to_wake = complete_phase();
   guard_.unlock();
   to_wake.dispatch_all();
 }

@@ -28,6 +28,10 @@ class barrier {
   std::int64_t expected() const noexcept { return expected_; }
 
  private:
+  // Runs the completion, flips the phase and detaches its waiters for
+  // dispatch after the caller unlocks. Called with guard_ held.
+  wait_queue complete_phase();
+
   mutable spinlock guard_;
   wait_queue waiters_;
   std::function<void()> on_completion_;

@@ -24,70 +24,34 @@ class channel {
   // Blocks while the channel is full. Returns false if the channel was
   // closed (the value is dropped).
   bool send(T value) {
-    for (;;) {
-      task* const t = thread_manager::current_task();
-      if (t != nullptr) this_task::prepare_suspend();
-
-      guard_.lock();
-      if (closed_) {
-        guard_.unlock();
-        if (t != nullptr) this_task::cancel_suspend();
-        return false;
-      }
-      if (items_.size() < capacity_) {
-        items_.push_back(std::move(value));
-        wait_queue to_wake = recv_waiters_.detach(1);
-        guard_.unlock();
-        if (t != nullptr) this_task::cancel_suspend();
-        to_wake.dispatch_all();
-        return true;
-      }
-      if (t != nullptr) {
-        send_waiters_.add_task(t);
-        guard_.unlock();
-        this_task::commit_suspend();
-      } else {
-        external_waiter w;
-        send_waiters_.add_external(&w);
-        guard_.unlock();
-        w.wait();
-      }
-    }
+    bool sent = false;
+    wait_queue to_wake;
+    block_until(guard_, send_waiters_, [&] {
+      if (closed_) return true;
+      if (items_.size() >= capacity_) return false;
+      items_.push_back(std::move(value));
+      to_wake = recv_waiters_.detach(1);
+      sent = true;
+      return true;
+    });
+    to_wake.dispatch_all();
+    return sent;
   }
 
   // Blocks while the channel is empty. Empty optional once the channel is
   // closed *and* drained.
   std::optional<T> recv() {
-    for (;;) {
-      task* const t = thread_manager::current_task();
-      if (t != nullptr) this_task::prepare_suspend();
-
-      guard_.lock();
-      if (!items_.empty()) {
-        T value = std::move(items_.front());
-        items_.pop_front();
-        wait_queue to_wake = send_waiters_.detach(1);
-        guard_.unlock();
-        if (t != nullptr) this_task::cancel_suspend();
-        to_wake.dispatch_all();
-        return value;
-      }
-      if (closed_) {
-        guard_.unlock();
-        if (t != nullptr) this_task::cancel_suspend();
-        return std::nullopt;
-      }
-      if (t != nullptr) {
-        recv_waiters_.add_task(t);
-        guard_.unlock();
-        this_task::commit_suspend();
-      } else {
-        external_waiter w;
-        recv_waiters_.add_external(&w);
-        guard_.unlock();
-        w.wait();
-      }
-    }
+    std::optional<T> value;
+    wait_queue to_wake;
+    block_until(guard_, recv_waiters_, [&] {
+      if (items_.empty()) return closed_;
+      value = std::move(items_.front());
+      items_.pop_front();
+      to_wake = send_waiters_.detach(1);
+      return true;
+    });
+    to_wake.dispatch_all();
+    return value;
   }
 
   // Non-blocking variants.

@@ -16,6 +16,11 @@ void condition_variable::wait(std::unique_lock<mutex>& lock) {
     // the mutex after unlock() is guaranteed to see this waiter.
     lock.unlock();
     this_task::commit_suspend();
+    // A notifier pops the entry it wakes; one still queued was woken stray.
+    // Drop it, so no later notify lands on this task twice or after it ends.
+    guard_.lock();
+    waiters_.remove(t);
+    guard_.unlock();
   } else {
     external_waiter w;
     guard_.lock();

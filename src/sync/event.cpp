@@ -24,29 +24,9 @@ bool event::is_set() const {
 }
 
 void event::wait() const {
-  for (;;) {
-    task* const t = thread_manager::current_task();
-    if (t != nullptr) this_task::prepare_suspend();
-
-    guard_.lock();
-    if (set_) {
-      guard_.unlock();
-      if (t != nullptr) this_task::cancel_suspend();
-      return;
-    }
-    if (t != nullptr) {
-      waiters_.add_task(t);
-      guard_.unlock();
-      this_task::commit_suspend();
-      // Re-check: reset() may have raced with the wake.
-    } else {
-      external_waiter w;
-      waiters_.add_external(&w);
-      guard_.unlock();
-      w.wait();
-      return;  // external waiters are only notified by set()
-    }
-  }
+  // A waiter released by set() re-checks, so a reset() that wins the race
+  // with the wake makes it wait again.
+  block_until(guard_, waiters_, [this] { return set_; });
 }
 
 }  // namespace gran

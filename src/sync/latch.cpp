@@ -27,38 +27,7 @@ bool latch::try_wait() const {
 }
 
 void latch::wait() const {
-  task* const t = thread_manager::current_task();
-  if (t != nullptr) {
-    // Predicate loop: tolerate spurious wakes (a waker is allowed to wake
-    // any suspended task; only the count reaching zero releases us).
-    for (;;) {
-      this_task::prepare_suspend();
-      guard_.lock();
-      if (count_ == 0) {
-        guard_.unlock();
-        this_task::cancel_suspend();
-        return;
-      }
-      waiters_.add_task(t);
-      guard_.unlock();
-      this_task::commit_suspend();
-      // Re-registering on a spurious wake requires removing any stale entry
-      // first (the real release would otherwise wake us twice).
-      guard_.lock();
-      waiters_.remove(t);
-      guard_.unlock();
-    }
-  } else {
-    external_waiter w;
-    guard_.lock();
-    if (count_ == 0) {
-      guard_.unlock();
-      return;
-    }
-    waiters_.add_external(&w);
-    guard_.unlock();
-    w.wait();
-  }
+  block_until(guard_, waiters_, [this] { return count_ == 0; });
 }
 
 void latch::arrive_and_wait(std::int64_t n) {

@@ -1,32 +1,13 @@
 #include "sync/mutex.hpp"
 
+#include <utility>
+
 namespace gran {
 
 void mutex::lock() {
-  for (;;) {
-    task* const t = thread_manager::current_task();
-    if (t != nullptr) this_task::prepare_suspend();
-
-    guard_.lock();
-    if (!locked_) {
-      locked_ = true;
-      guard_.unlock();
-      if (t != nullptr) this_task::cancel_suspend();
-      return;
-    }
-    if (t != nullptr) {
-      waiters_.add_task(t);
-      guard_.unlock();
-      this_task::commit_suspend();
-      // Woken by unlock(); loop to compete for the lock again (barging
-      // keeps the fast path cheap; starvation is bounded by FIFO wakes).
-    } else {
-      external_waiter w;
-      waiters_.add_external(&w);
-      guard_.unlock();
-      w.wait();
-    }
-  }
+  // A woken waiter competes again (barging keeps the fast path cheap;
+  // starvation is bounded by FIFO wakes).
+  block_until(guard_, waiters_, [this] { return !std::exchange(locked_, true); });
 }
 
 bool mutex::try_lock() {

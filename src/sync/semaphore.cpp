@@ -18,29 +18,12 @@ void counting_semaphore::release(std::int64_t n) {
 }
 
 void counting_semaphore::acquire() {
-  for (;;) {
-    task* const t = thread_manager::current_task();
-    if (t != nullptr) this_task::prepare_suspend();
-
-    guard_.lock();
-    if (count_ > 0) {
-      --count_;
-      guard_.unlock();
-      if (t != nullptr) this_task::cancel_suspend();
-      return;
-    }
-    if (t != nullptr) {
-      waiters_.add_task(t);
-      guard_.unlock();
-      this_task::commit_suspend();
-      // Loop: competes again (another acquirer may have barged in).
-    } else {
-      external_waiter w;
-      waiters_.add_external(&w);
-      guard_.unlock();
-      w.wait();
-    }
-  }
+  // A woken waiter competes again (another acquirer may have barged in).
+  block_until(guard_, waiters_, [this] {
+    if (count_ == 0) return false;
+    --count_;
+    return true;
+  });
 }
 
 bool counting_semaphore::try_acquire() {

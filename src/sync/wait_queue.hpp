@@ -1,4 +1,5 @@
-// Waiter bookkeeping shared by all blocking primitives.
+// Waiter bookkeeping shared by all blocking primitives, and block_until,
+// the one wait loop they block through.
 //
 // A waiter is either a task (suspended cooperatively — the worker keeps
 // running other tasks, paper §I-B) or an external OS thread (parked on a
@@ -6,12 +7,6 @@
 // spinlock; wait_queue itself is not thread-safe. An empty queue owns no
 // memory: the first waiter allocates, so primitives that are never waited
 // on (most future states) cost no allocation here.
-//
-// Task-wait protocol (race-free with task::wake, see task.hpp):
-//     this_task::prepare_suspend();
-//     lock primitive;
-//     if (condition already satisfied) { unlock; this_task::cancel_suspend(); }
-//     else { wq.add_task(current); unlock; this_task::commit_suspend(); }
 #pragma once
 
 #include <chrono>
@@ -159,5 +154,48 @@ class wait_queue {
   std::vector<entry> waiters_;  // [head_, size) are queued, oldest first
   std::size_t head_ = 0;
 };
+
+// Blocks the caller until `ready()` returns true; `ready` runs with `guard`
+// held and may take what the caller waits for (the lock, a permit, an item).
+// The task-wait protocol, race-free with task::wake (task.hpp), per round:
+//     prepare_suspend; lock guard; drop our entry if a round woke us and it
+//     is still queued; ready() ? unlock, cancel_suspend, return
+//                              : register, unlock, commit_suspend (suspend)
+// A plain thread registers an external_waiter and parks on it instead.
+// Either kind re-checks after every wake, so a waker may release more
+// waiters than can proceed. A stray wake (thread_manager::wake on a task
+// blocked here) costs one re-check: it can neither release the waiter early
+// nor leave it queued twice.
+//
+// Three waits keep their own loop: condition_variable::wait releases the
+// caller's mutex after registering and returns after one wake (dropping a
+// stale entry itself); shared_state::wait_until races a timer wake against
+// the notifier; and timer_service::sleep_until queues on the timer heap,
+// not on a wait_queue.
+template <typename Guard, typename Ready>
+void block_until(Guard& guard, wait_queue& waiters, Ready&& ready) {
+  task* const t = thread_manager::current_task();
+  for (bool woken = false;; woken = true) {
+    if (t != nullptr) this_task::prepare_suspend();
+    guard.lock();
+    // A notifier pops the entry it wakes; one still queued was woken stray.
+    if (woken && t != nullptr) waiters.remove(t);
+    if (ready()) {
+      guard.unlock();
+      if (t != nullptr) this_task::cancel_suspend();
+      return;
+    }
+    if (t != nullptr) {
+      waiters.add_task(t);
+      guard.unlock();
+      this_task::commit_suspend();
+    } else {
+      external_waiter w;
+      waiters.add_external(&w);
+      guard.unlock();
+      w.wait();
+    }
+  }
+}
 
 }  // namespace gran

@@ -155,11 +155,13 @@ std::uint64_t thread_manager::spawn_task(int target, task::body_fn body,
   // never trail the child's first task_begin.
   record_spawn(home, id);
   note_queued(home, 1);
+  if (home < 0) external_in_flight_.fetch_add(1, std::memory_order_relaxed);
   if (target >= 0)
     policy_->enqueue_hinted(*this, target, t);
   else
     policy_->enqueue_new(*this, home, t);
   notify_work();
+  if (home < 0) external_in_flight_.fetch_sub(1, std::memory_order_release);
   // Cooperation point: a spawning worker is responsive by definition, so a
   // message-passing policy can service steal requests that piled up while
   // the task body ran (tasking-2.0's check-for-requests-on-spawn idiom).
@@ -266,8 +268,10 @@ void thread_manager::schedule_ready(task* t) {
   GRAN_DEBUG_ASSERT(t->state() == task_state::pending);
   const int home = tl_manager == this ? tl_worker : -1;
   note_queued(home, 1);
+  if (home < 0) external_in_flight_.fetch_add(1, std::memory_order_relaxed);
   policy_->enqueue_ready(*this, home, t);
   notify_work();
+  if (home < 0) external_in_flight_.fetch_sub(1, std::memory_order_release);
 }
 
 void thread_manager::convert(task* t) {
@@ -316,6 +320,11 @@ void thread_manager::stop() {
   for (auto& th : threads_)
     if (th.joinable()) th.join();
   threads_.clear();
+  // A non-worker enqueuer may still be inside notify_work although its task
+  // already ran and retired; the owner may destroy this manager (and its
+  // park_cv_) as soon as stop() returns.
+  while (external_in_flight_.load(std::memory_order_acquire) != 0)
+    std::this_thread::yield();
   perf::heartbeat_board::instance().detach();
 
   // GRAN_PRINT_COUNTERS=<prefix> dumps the counters at shutdown — the
@@ -360,6 +369,7 @@ void thread_manager::worker_main(int w) {
     me.pmu = perf::pmu_plane::instance().create_reader();
 
   std::uint64_t stamp = tsc_clock::now();
+  perf::trace_emit_at(me.trace, stamp, perf::trace_kind::worker_start, w);
   idle_backoff idler(cfg_.idle_spin_limit, cfg_.idle_yield_limit);
 
   const auto accumulate_func = [&] {
@@ -419,6 +429,7 @@ void thread_manager::worker_main(int w) {
   // The loop only exits from the starving branch; withdraw this worker's
   // contribution so starving_ drains to zero at shutdown.
   if (!had_work) starving_.fetch_sub(1, std::memory_order_relaxed);
+  perf::trace_emit_at(me.trace, stamp, perf::trace_kind::worker_stop, w);
 
   tl_manager = nullptr;
   tl_worker = -1;

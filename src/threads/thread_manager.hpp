@@ -69,13 +69,15 @@ class thread_manager {
   static int current_worker() noexcept;
 
   // Wakes a suspended/suspending task (see task::wake) and re-queues it if
-  // the caller won the transition. Safe from any thread, BUT: waking a task
-  // parked inside a library primitive (mutex, latch, future, ...) is
-  // reserved to that primitive — it owns the task's waiter-list entry.
-  // External wake() is for tasks parked via bare this_task::suspend(),
-  // whose wake-up the caller arranged itself. The caller must also
-  // guarantee the task object is still alive (a terminated task is deleted
-  // by the runtime).
+  // the caller won the transition. Safe from any thread. A wake of a task
+  // blocked in a library primitive (mutex, latch, future, channel, ...) by
+  // anyone but that primitive is a stray wake: the task drops its stale
+  // waiter entry, re-checks and blocks again (block_until, sync/wait_queue.hpp),
+  // so it costs one re-check and can neither release the waiter early nor
+  // queue it twice; condition_variable::wait returns, as its spurious-wake
+  // contract allows. A task in this_task::sleep_for must be woken by the
+  // timer only. The caller must guarantee the task object is still alive (a
+  // terminated task is deleted by the runtime).
   void wake(task* t);
 
   // Re-queues a pending task (used internally and by tests).
@@ -328,6 +330,10 @@ class thread_manager {
   // workers (read-modify-writes; see worker_counters and worker_data::queued).
   worker_counters external_counters_;
   alignas(cache_line_size) std::atomic<std::int64_t> external_queued_{0};
+  // Non-worker enqueues between their enqueue and the end of their
+  // notify_work: stop() waits for zero, so no enqueuer signals park_cv_
+  // after the manager is destroyed (DESIGN.md decision 7).
+  std::atomic<int> external_in_flight_{0};
 
   alignas(cache_line_size) std::atomic<int> sleepers_{0};
   std::mutex park_mutex_;
@@ -354,13 +360,10 @@ void yield();
 // task::cancel_suspend for the full race-free protocol.
 void suspend();
 
-// Granular suspension for synchronization primitives, whose protocol is:
-//     prepare_suspend();
-//     { lock; register waiter; if (already ready) { deregister;
-//       cancel_suspend(); return; } }
-//     commit_suspend();   // context-switches away
-// Wakers observing the task after prepare_suspend interact correctly with
-// it through thread_manager::wake.
+// Granular suspension for synchronization primitives; block_until
+// (sync/wait_queue.hpp) states the protocol. Wakers observing the task
+// after prepare_suspend interact correctly with it through
+// thread_manager::wake.
 void prepare_suspend();   // task::mark_suspending
 void cancel_suspend();    // task::cancel_suspend
 void commit_suspend();    // switch back to the worker; returns when woken

@@ -1,5 +1,6 @@
 // Tests for the parallel algorithms layer (src/algo): chunking resolution,
-// parallel_for (all policies), parallel_reduce, task_group.
+// parallel_for (all policies), parallel_reduce, the scan and transform,
+// task_group.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -222,6 +223,27 @@ TEST(ParallelTransform, MapsEveryIndex) {
       [&out](std::size_t i, long v) { out[i] = v; }, static_chunk{997});
   for (std::size_t i = 0; i < out.size(); ++i)
     ASSERT_EQ(out[i], static_cast<long>(i * i));
+}
+
+// Every chunked loop rethrows the first exception of its map in the caller,
+// after the wave drains, and leaves the runtime usable.
+TEST(ChunkedLoops, ThrowingMapRethrowsInCaller) {
+  thread_manager tm(test_config(2));
+  const auto map = [](std::size_t i) -> long {
+    if (i == 321) throw std::runtime_error("item 321");
+    return static_cast<long>(i);
+  };
+  const auto plus = [](long a, long b) { return a + b; };
+  EXPECT_THROW(parallel_reduce(tm, 0, 1'000, 0L, map, plus, static_chunk{10}),
+               std::runtime_error);
+  EXPECT_THROW(parallel_inclusive_scan(
+                   tm, 0, 1'000, 0L, map, plus, [](std::size_t, long) {},
+                   static_chunk{10}),
+               std::runtime_error);
+  EXPECT_THROW(parallel_transform(
+                   tm, 0, 1'000, map, [](std::size_t, long) {}, static_chunk{10}),
+               std::runtime_error);
+  EXPECT_EQ(parallel_reduce(tm, 0, 100, 0L, [](std::size_t) { return 1L; }, plus), 100);
 }
 
 // --- task_group ---------------------------------------------------------------------

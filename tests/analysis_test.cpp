@@ -539,9 +539,6 @@ TEST_F(AnalysisTest, Eq1RecomputeWithinCountersOnGraphRun) {
   g.kind = graph::pattern::stencil1d;
   g.width = 16;
   g.steps = 20;
-  // Busy enough that worker spans are dominated by kernel work: the trace
-  // measures func as lane first->last event while the counter measures the
-  // worker loop, and the fixed edge mismatch shrinks relative to the span.
   const traced_run run = run_traced_graph(g, /*grain_ns=*/100'000, /*workers=*/2);
 
   const auto r = perf::analyze_trace(run.dump);
@@ -555,14 +552,14 @@ TEST_F(AnalysisTest, Eq1RecomputeWithinCountersOnGraphRun) {
   const double c_td = static_cast<double>(c.exec_ns) /
                       static_cast<double>(c.tasks_executed);
 
-  // Acceptance: events alone reproduce the counter-based Eq. 1–3 within
-  // 5%. exec is tick-exact (same timestamps feed both); func differs only
-  // at the lane-span edges, so it gets 5% relative and the idle-rate —
-  // a ratio of the two — 5 percentage points.
-  EXPECT_NEAR(r.exec_ns, static_cast<double>(c.exec_ns), 0.01 * c.exec_ns);
-  EXPECT_NEAR(r.func_ns, static_cast<double>(c.func_ns), 0.05 * c.func_ns);
-  EXPECT_NEAR(r.idle_rate, c_idle, 0.05);
-  EXPECT_NEAR(r.task_duration_ns, c_td, 0.05 * c_td);
+  // Events alone reproduce the counter-based Eq. 1–3 exactly, up to the
+  // rounding of ticks to ns: exec sums the phase stamps that feed
+  // Σt_exec, and func sums each lane's worker_start..worker_stop pair, the
+  // first and last stamps that feed Σt_func.
+  EXPECT_NEAR(r.exec_ns, static_cast<double>(c.exec_ns), 1e-6 * c.exec_ns);
+  EXPECT_NEAR(r.func_ns, static_cast<double>(c.func_ns), 1e-6 * c.func_ns);
+  EXPECT_NEAR(r.idle_rate, c_idle, 1e-6);
+  EXPECT_NEAR(r.task_duration_ns, c_td, 1e-6 * c_td);
 
   // Every task ran and completed in the trace.
   EXPECT_EQ(r.tasks_completed, run.stats.tasks);

@@ -1,6 +1,7 @@
-// Tests for the cooperative synchronization primitives (src/sync): mutex,
-// condition_variable, latch, barrier, semaphore, event, channel — exercised
-// from tasks, from external threads, and mixed.
+// Tests for the cooperative synchronization primitives (src/sync): the
+// block_until wait loop, mutex, condition_variable, latch, barrier,
+// semaphore, event, channel — exercised from tasks, from external threads,
+// and mixed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,82 @@ scheduler_config test_config(int workers) {
   cfg.num_workers = workers;
   cfg.pin_workers = false;
   return cfg;
+}
+
+// Spins until `t` (blocked in a primitive) has switched away.
+void await_suspended(const task* t) {
+  while (t->state() != task_state::suspended) std::this_thread::yield();
+}
+
+// Runs `body` in a task on `tm` and returns that task once it has blocked.
+template <typename Body>
+task* spawn_and_block(thread_manager& tm, Body body) {
+  std::atomic<task*> self{nullptr};
+  tm.spawn([&self, body] {
+    self = this_task::current();
+    body();
+  });
+  task* t = nullptr;
+  while ((t = self.load()) == nullptr) std::this_thread::yield();
+  await_suspended(t);
+  return t;
+}
+
+// --- block_until -------------------------------------------------------------
+
+// A stray wake (thread_manager::wake by someone other than the primitive)
+// costs one re-check: the waiter neither returns early nor stays queued
+// twice, and its real release leaves the queue empty.
+TEST(BlockUntil, StrayWakeRechecksWithoutQueueingTwice) {
+  thread_manager tm(test_config(2));
+  spinlock guard;
+  wait_queue q;
+  bool ready = false;
+  std::atomic<int> checks{0};
+  std::atomic<bool> returned{false};
+  const auto queued = [&] {
+    guard.lock();
+    const std::size_t n = q.size();
+    guard.unlock();
+    return n;
+  };
+
+  task* t = spawn_and_block(tm, [&] {
+    block_until(guard, q, [&] {
+      ++checks;
+      return ready;
+    });
+    returned = true;
+  });
+  EXPECT_EQ(checks.load(), 1);
+  tm.wake(t);  // stray: the task's entry is still queued
+  await_suspended(t);
+  EXPECT_EQ(checks.load(), 2);
+  EXPECT_FALSE(returned.load());
+  EXPECT_EQ(queued(), 1u);
+
+  guard.lock();
+  ready = true;
+  wait_queue to_wake = q.detach_all();
+  guard.unlock();
+  to_wake.dispatch_all();
+  tm.wait_idle();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(queued(), 0u);
+}
+
+// The same stray wake on a semaphore: the task takes one permit, and a later
+// release finds no stale entry to wake (the task is gone by then).
+TEST(BlockUntil, StrayWakeLeavesNoStaleSemaphoreEntry) {
+  thread_manager tm(test_config(2));
+  counting_semaphore sem(0);
+  task* t = spawn_and_block(tm, [&sem] { sem.acquire(); });
+  tm.wake(t);
+  await_suspended(t);
+  sem.release(1);
+  tm.wait_idle();
+  sem.release(1);
+  EXPECT_EQ(sem.value(), 1);
 }
 
 // --- mutex -------------------------------------------------------------------
@@ -147,6 +224,30 @@ TEST(ConditionVariable, ExternalWaiter) {
   }
   cv.notify_all();
   external.join();
+  SUCCEED();
+}
+
+// A stray wake ends one cv wait (a spurious wake its contract allows), and
+// the predicate loop waits again with one entry queued, not two: a later
+// notify finds no stale entry naming the retired task.
+TEST(ConditionVariable, StrayWakeLeavesNoStaleEntry) {
+  thread_manager tm(test_config(2));
+  gran::mutex m;
+  condition_variable cv;
+  bool go = false;
+  task* t = spawn_and_block(tm, [&] {
+    std::unique_lock<gran::mutex> lock(m);
+    cv.wait(lock, [&] { return go; });
+  });
+  tm.wake(t);
+  await_suspended(t);
+  {
+    std::lock_guard<gran::mutex> lock(m);
+    go = true;
+  }
+  cv.notify_one();
+  tm.wait_idle();
+  cv.notify_one();
   SUCCEED();
 }
 

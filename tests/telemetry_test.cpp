@@ -191,15 +191,17 @@ TEST(WindowAggregator, CrossChecksOfflineEq123) {
   for (int i = 0; i < 200; ++i) tm.spawn([] { spin(500); });
   tm.wait_idle();
   tm.reset_counters();
-  window_aggregator agg;  // baseline right after the reset
+  // Idle func time keeps accruing while the workers spin in their scheduler
+  // loops, so the offline Eq. 1 value drifts between any two samples.
+  // Bracket both of the window's sample instants, its baseline here and its
+  // tick below, between two offline samples each.
+  const auto before_ctor = tm.counter_totals();
+  window_aggregator agg;
+  const auto after_ctor = tm.counter_totals();
 
   constexpr int n = 2000;
   for (int i = 0; i < n; ++i) tm.spawn([] { spin(4000); });
   tm.wait_idle();
-  // Idle func time keeps accruing while the workers spin in their scheduler
-  // loops, so the offline Eq. 1 value drifts upward between any two samples.
-  // Bracket the window's sample instant between two offline samples instead
-  // of pretending all three happen atomically.
   const auto before = tm.counter_totals();
   const window_snapshot w = agg.tick();
   const auto totals = tm.counter_totals();
@@ -207,16 +209,17 @@ TEST(WindowAggregator, CrossChecksOfflineEq123) {
   ASSERT_EQ(totals.tasks_executed, static_cast<std::uint64_t>(n));
   EXPECT_EQ(w.tasks_delta, static_cast<std::uint64_t>(n));
 
-  // Eq. 1: interval idle-rate sits between the offline values sampled just
-  // before and just after the tick (small epsilon for the baseline gap
-  // between reset_counters and the aggregator construction).
-  const auto idle_of = [](const thread_manager::totals& t) {
-    return t.func_ns > 0 ? static_cast<double>(t.func_ns - t.exec_ns) /
-                               static_cast<double>(t.func_ns)
-                         : 0.0;
+  // Eq. 1: the pool has drained at both ends of the window, so exec is
+  // frozen there and only func moves; the window's idle-rate grows with its
+  // func and lies between the narrowest and the widest offline interval.
+  const auto idle_between = [](const thread_manager::totals& from,
+                               const thread_manager::totals& to) {
+    const double func = static_cast<double>(to.func_ns - from.func_ns);
+    const double exec = static_cast<double>(to.exec_ns - from.exec_ns);
+    return func > 0 ? (func - exec) / func : 0.0;
   };
-  EXPECT_GE(w.idle_rate, idle_of(before) - 0.05);
-  EXPECT_LE(w.idle_rate, idle_of(totals) + 0.05);
+  EXPECT_GE(w.idle_rate, idle_between(after_ctor, before));
+  EXPECT_LE(w.idle_rate, idle_between(before_ctor, totals));
 
   // Eq. 2: mean task duration vs exec_ns / tasks (drift-free: both views
   // are frozen once the pool drains).
