@@ -71,6 +71,14 @@ struct cell_result {
   double offered_per_s = 0, achieved_per_s = 0;
   double rejection_rate = 0;
   double p50_ns = 0, p95_ns = 0, p99_ns = 0, mean_ns = 0;
+
+  // The sojourn columns, from the cell's sojourn distribution.
+  void set_sojourn(const perf::histogram_snapshot& h) {
+    p50_ns = h.percentile(50);
+    p95_ns = h.percentile(95);
+    p99_ns = h.percentile(99);
+    mean_ns = h.mean();
+  }
 };
 
 // Burns ~ns of CPU (TSC-paced), the request body of every native cell.
@@ -131,7 +139,6 @@ cell_result run_native_cell(const cell_config& cfg) {
   cell_result r;
   r.wall_s = wall.elapsed_s();
   const service::task_service::stats s = svc.snapshot();
-  const perf::histogram_snapshot h = svc.sojourn_snapshot();
   r.generated = arrivals.size();
   r.submitted = s.submitted;
   r.accepted = s.accepted;
@@ -146,10 +153,7 @@ cell_result run_native_cell(const cell_config& cfg) {
   r.rejection_rate =
       s.submitted > 0 ? static_cast<double>(s.rejected) / static_cast<double>(s.submitted)
                       : 0;
-  r.p50_ns = h.percentile(50);
-  r.p95_ns = h.percentile(95);
-  r.p99_ns = h.percentile(99);
-  r.mean_ns = h.mean();
+  r.set_sojourn(svc.sojourn_snapshot());
   return r;
 }
 
@@ -178,10 +182,7 @@ cell_result run_sim_cell(const cell_config& cfg) {
       res.generated > 0
           ? static_cast<double>(res.rejected) / static_cast<double>(res.generated)
           : 0;
-  r.p50_ns = res.sojourn_p50_ns;
-  r.p95_ns = res.sojourn_p95_ns;
-  r.p99_ns = res.sojourn_p99_ns;
-  r.mean_ns = res.sojourn_mean_ns;
+  r.set_sojourn(res.sojourn);
   return r;
 }
 

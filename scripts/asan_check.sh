@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Builds the task-lifecycle and wait-path tests under AddressSanitizer +
-# UndefinedBehaviorSanitizer and runs them with leak detection on: the
-# per-thread stack and task caches (util/magazine_cache.hpp), the
-# fiber-in-task object, the per-worker liveness cells, and the waits that
-# block through block_until (sync/wait_queue.hpp), where a stale waiter
-# entry would wake a retired task.
+# Builds the task-lifecycle, wait-path and registry-reader tests under
+# AddressSanitizer + UndefinedBehaviorSanitizer and runs them with leak
+# detection on: the per-thread stack and task caches
+# (util/magazine_cache.hpp), the fiber-in-task object, the per-worker
+# liveness cells, the waits that block through block_until
+# (sync/wait_queue.hpp), where a stale waiter entry would wake a retired
+# task, and the counter registry's readers, whose sample functions capture
+# worker_data* and task_service* and outlive neither only because
+# unregistration takes the registry's exclusive lock.
 #
 #   scripts/asan_check.sh [extra gtest args...]
 #
@@ -14,7 +17,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=build-asan
-TESTS=(fiber_test task_test thread_manager_test alloc_test sync_test async_test algo_test timer_test)
+TESTS=(fiber_test task_test thread_manager_test alloc_test sync_test async_test algo_test timer_test
+       perf_test telemetry_test service_test)
 
 cmake -B "$BUILD" -S . \
   -DGRAN_SANITIZE=address \

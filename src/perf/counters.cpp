@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <unordered_map>
 
 namespace gran::perf {
 
@@ -45,10 +46,52 @@ registry& registry::instance() {
   return r;
 }
 
+namespace {
+
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+bool has_prefix(const std::string& path, const std::string& prefix) {
+  return path.rfind(prefix, 0) == 0;
+}
+
+// The five scalar views every histogram registers.
+struct histogram_view {
+  const char* name;
+  counter_kind kind;
+  double (*read)(const histogram_snapshot&);
+};
+constexpr histogram_view histogram_views[] = {
+    {"p50", counter_kind::gauge, [](const histogram_snapshot& s) { return s.percentile(50); }},
+    {"p95", counter_kind::gauge, [](const histogram_snapshot& s) { return s.percentile(95); }},
+    {"p99", counter_kind::gauge, [](const histogram_snapshot& s) { return s.percentile(99); }},
+    {"mean", counter_kind::gauge, [](const histogram_snapshot& s) { return s.mean(); }},
+    {"count", counter_kind::monotonic,
+     [](const histogram_snapshot& s) { return static_cast<double>(s.count); }},
+};
+
+}  // namespace
+
 void registry::add(const std::string& path, counter_kind kind, std::string description,
                    sample_fn fn) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
-  counters_[path] = entry{kind, std::move(description), std::move(fn)};
+  counters_[path] = entry{kind, std::move(description), std::move(fn), nullptr, nullptr};
+}
+
+void registry::add_histogram(const std::string& path, const std::string& what,
+                             const std::string& unit, snap_fn snap) {
+  auto source = std::make_shared<const snap_fn>(std::move(snap));
+  std::lock_guard<std::shared_mutex> lock(mutex_);
+  histograms_[path] = source;
+  for (const histogram_view& v : histogram_views) {
+    const std::string name = v.name;
+    counters_[path + "/" + name] =
+        entry{v.kind, name == "count" ? "samples in " + what : name + " " + what + ", " + unit,
+              nullptr, source, v.read};
+  }
 }
 
 bool registry::remove(const std::string& path) {
@@ -58,9 +101,12 @@ bool registry::remove(const std::string& path) {
 
 void registry::remove_prefix(const std::string& prefix) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
-  auto it = counters_.lower_bound(prefix);
-  while (it != counters_.end() && it->first.rfind(prefix, 0) == 0)
+  for (auto it = counters_.lower_bound(prefix);
+       it != counters_.end() && has_prefix(it->first, prefix);)
     it = counters_.erase(it);
+  for (auto it = histograms_.lower_bound(prefix);
+       it != histograms_.end() && has_prefix(it->first, prefix);)
+    it = histograms_.erase(it);
 }
 
 std::optional<counter_value> registry::query(const std::string& path) const {
@@ -69,27 +115,47 @@ std::optional<counter_value> registry::query(const std::string& path) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   const auto it = counters_.find(path);
   if (it == counters_.end()) return std::nullopt;
+  const entry& e = it->second;
   counter_value v;
-  v.value = it->second.fn();
-  v.timestamp_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now().time_since_epoch())
-                       .count();
+  v.value = e.histogram ? e.view((*e.histogram)()) : e.fn();
+  v.timestamp_ns = now_ns();
   return v;
+}
+
+registry::batch registry::sample(const std::string& prefix) const {
+  // One shared-lock acquisition for the whole batch, held across the sample
+  // calls (see the mutex_ comment in the header): concurrent with other
+  // queries, a barrier against unregistration.
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  batch out;
+  out.timestamp_ns = now_ns();
+  // One snapshot per histogram, shared by the histogram's entry and its
+  // views (a view's histogram may lie outside `prefix`).
+  std::unordered_map<const snap_fn*, histogram_snapshot> snaps;
+  const auto snap_of = [&snaps](const snap_fn& h) -> const histogram_snapshot& {
+    const auto [it, fresh] = snaps.try_emplace(&h);
+    if (fresh) it->second = h();
+    return it->second;
+  };
+  for (auto it = histograms_.lower_bound(prefix);
+       it != histograms_.end() && has_prefix(it->first, prefix); ++it)
+    out.histograms.emplace_back(it->first, snap_of(*it->second));
+  for (auto it = counters_.lower_bound(prefix);
+       it != counters_.end() && has_prefix(it->first, prefix); ++it) {
+    const entry& e = it->second;
+    out.counters.push_back(
+        {it->first, e.kind, e.histogram ? e.view(snap_of(*e.histogram)) : e.fn()});
+  }
+  return out;
 }
 
 std::vector<std::pair<std::string, counter_value>> registry::query_all(
     const std::string& prefix) const {
-  // One shared-lock acquisition for the whole batch, held across the sample
-  // calls (see the mutex_ comment in the header): concurrent with other
-  // queries, a barrier against unregistration. One shared timestamp.
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  const std::int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now().time_since_epoch())
-                               .count();
+  batch b = sample(prefix);
   std::vector<std::pair<std::string, counter_value>> out;
-  for (auto it = counters_.lower_bound(prefix);
-       it != counters_.end() && it->first.rfind(prefix, 0) == 0; ++it)
-    out.emplace_back(it->first, counter_value{it->second.fn(), now});
+  out.reserve(b.counters.size());
+  for (sampled_counter& c : b.counters)
+    out.emplace_back(std::move(c.path), counter_value{c.value, b.timestamp_ns});
   return out;
 }
 
@@ -102,18 +168,8 @@ std::vector<std::string> registry::list(const std::string& prefix) const {
   std::vector<std::string> out;
   std::shared_lock<std::shared_mutex> lock(mutex_);
   for (auto it = counters_.lower_bound(prefix);
-       it != counters_.end() && it->first.rfind(prefix, 0) == 0; ++it)
+       it != counters_.end() && has_prefix(it->first, prefix); ++it)
     out.push_back(it->first);
-  return out;
-}
-
-std::vector<std::pair<std::string, counter_kind>> registry::kinds_of_prefix(
-    const std::string& prefix) const {
-  std::vector<std::pair<std::string, counter_kind>> out;
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  for (auto it = counters_.lower_bound(prefix);
-       it != counters_.end() && it->first.rfind(prefix, 0) == 0; ++it)
-    out.emplace_back(it->first, it->second.kind);
   return out;
 }
 
@@ -133,6 +189,7 @@ std::string registry::describe(const std::string& path) const {
 void registry::clear() {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   counters_.clear();
+  histograms_.clear();
 }
 
 }  // namespace gran::perf

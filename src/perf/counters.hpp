@@ -24,16 +24,24 @@
 //     /threads/count/staged-accesses       same for staged queues
 //     /threads/count/staged-misses
 //     /threads/count/stolen                tasks obtained from another worker
+//
+// Distributions register through add_histogram: the histogram itself, whose
+// snapshots feed windowed telemetry, and its scalar views
+// <path>/{p50,p95,p99,mean,count}. Worker liveness is a set of gauges, so
+// the registry is the one place the observers read the runtime from.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <shared_mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "perf/histogram.hpp"
 
 namespace gran::perf {
 
@@ -65,6 +73,19 @@ struct counter_value {
 class registry {
  public:
   using sample_fn = std::function<double()>;
+  using snap_fn = std::function<histogram_snapshot()>;
+
+  // One sampling batch of a prefix (sample()).
+  struct sampled_counter {
+    std::string path;
+    counter_kind kind = counter_kind::gauge;
+    double value = 0;
+  };
+  struct batch {
+    std::int64_t timestamp_ns = 0;          // steady_clock, shared by the batch
+    std::vector<sampled_counter> counters;  // sorted by path
+    std::vector<std::pair<std::string, histogram_snapshot>> histograms;  // sorted
+  };
 
   static registry& instance();
 
@@ -72,34 +93,41 @@ class registry {
   void add(const std::string& path, counter_kind kind, std::string description,
            sample_fn fn);
 
-  // Removes one counter; returns false if it was not registered.
+  // Registers the histogram `path` and its five views: <path>/p50, /p95,
+  // /p99 and /mean ("p50 <what>, <unit>", ...; gauges) and <path>/count
+  // ("samples in <what>"; monotonic). Replaces any previous registration.
+  // A query or a batch calls `snap` once per histogram and computes every
+  // view from that copy.
+  void add_histogram(const std::string& path, const std::string& what,
+                     const std::string& unit, snap_fn snap);
+
+  // Removes one counter (a histogram's view is one); returns false if it
+  // was not registered. A histogram leaves with remove_prefix.
   bool remove(const std::string& path);
 
-  // Removes every counter whose path starts with `prefix`.
+  // Removes every counter and histogram whose path starts with `prefix`.
   void remove_prefix(const std::string& prefix);
 
   // Samples a counter. std::nullopt for unknown paths.
   std::optional<counter_value> query(const std::string& path) const;
 
-  // Samples every counter whose path starts with `prefix`, taking the
-  // registry lock exactly once for the whole batch (the per-path query()
-  // takes it per counter, which is what made high-frequency sampling
+  // Samples every counter and histogram whose path starts with `prefix`,
+  // taking the registry lock exactly once for the whole batch (the per-path
+  // query() takes it per counter, which is what made high-frequency sampling
   // contend with registration). The shared lock is held across the sample
-  // calls — see the mutex_ comment; all values share one timestamp.
-  // Results are sorted by path.
+  // calls — see the mutex_ comment.
+  batch sample(const std::string& prefix) const;
+
+  // sample()'s counter values alone, sorted by path; all share the batch's
+  // timestamp.
   std::vector<std::pair<std::string, counter_value>> query_all(
       const std::string& prefix) const;
 
   // Raw value convenience; `def` for unknown paths.
   double value_or(const std::string& path, double def) const;
 
-  // All registered paths starting with `prefix`, sorted.
+  // All registered counter paths starting with `prefix`, sorted.
   std::vector<std::string> list(const std::string& prefix = "/") const;
-
-  // (path, kind) for every counter under `prefix`, sorted by path, one lock
-  // acquisition for the batch (kind_of per path would lock per counter).
-  std::vector<std::pair<std::string, counter_kind>> kinds_of_prefix(
-      const std::string& prefix) const;
 
   std::optional<counter_kind> kind_of(const std::string& path) const;
   std::string describe(const std::string& path) const;
@@ -110,21 +138,27 @@ class registry {
  private:
   registry() = default;
 
+  // A counter samples `fn`, or, as a view, reads `view` of one snapshot of
+  // `histogram`, which it shares with the histogram's entry.
   struct entry {
     counter_kind kind;
     std::string description;
     sample_fn fn;
+    std::shared_ptr<const snap_fn> histogram;
+    double (*view)(const histogram_snapshot&) = nullptr;
   };
 
   // Reader-writer: queries hold a shared lock for the WHOLE batch, including
-  // the sample-fn calls, so remove/remove_prefix (exclusive) cannot return
-  // while a reader still runs a fn about to lose its captured object —
-  // ~thread_manager relies on this to make unregister_counters() a barrier
-  // against the background telemetry thread. Readers stay concurrent with
-  // each other; registration is the only writer and is rare.
-  // Sample fns must not call back into the registry's mutating API.
+  // the sample- and snap-fn calls, so remove/remove_prefix (exclusive)
+  // cannot return while a reader still runs a fn about to lose its captured
+  // object — ~thread_manager and ~task_service rely on this to make their
+  // unregistration a barrier against the background telemetry thread.
+  // Readers stay concurrent with each other; registration is the only
+  // writer and is rare. Sample and snap fns must not call back into the
+  // registry's mutating API.
   mutable std::shared_mutex mutex_;
   std::map<std::string, entry> counters_;
+  std::map<std::string, std::shared_ptr<const snap_fn>> histograms_;
 };
 
 }  // namespace gran::perf

@@ -57,17 +57,20 @@ void write_json_string(std::ostream& os, const std::string& s) {
 
 namespace {
 
-void write_percentiles(std::ostream& os, const char* key, double p50, double p95,
-                       double p99, double mean, std::uint64_t count) {
-  os << '"' << key << "\":{\"p50_ns\":";
-  write_number(os, p50);
-  os << ",\"p95_ns\":";
-  write_number(os, p95);
-  os << ",\"p99_ns\":";
-  write_number(os, p99);
-  os << ",\"mean_ns\":";
-  write_number(os, mean);
-  os << ",\"count\":" << count << "}";
+// One percentile object, "key":{"p50<suffix>":..,"p95<suffix>":..,
+// "p99<suffix>":..,"mean<suffix>":..,"count":..}: suffix "_ns" for the
+// latency groups, none for the PMU plane's dimensionless ones.
+void write_percentiles(std::ostream& os, const char* key, const percentile_summary& s,
+                       const char* suffix) {
+  os << '"' << key << "\":{\"p50" << suffix << "\":";
+  write_number(os, s.p50);
+  os << ",\"p95" << suffix << "\":";
+  write_number(os, s.p95);
+  os << ",\"p99" << suffix << "\":";
+  write_number(os, s.p99);
+  os << ",\"mean" << suffix << "\":";
+  write_number(os, s.mean);
+  os << ",\"count\":" << s.count << "}";
 }
 
 }  // namespace
@@ -78,24 +81,14 @@ void write_window_jsonl(std::ostream& os, const window_snapshot& w) {
      << ",\"dt_s\":";
   write_number(os, w.dt_s);
 
-  std::uint64_t duration_count = 0, overhead_count = 0;
-  if (const window_histogram* h = w.find_histogram("/threads/histogram/task-duration"))
-    duration_count = h->delta.count;
-  if (const window_histogram* h = w.find_histogram("/threads/histogram/task-overhead"))
-    overhead_count = h->delta.count;
-
   os << ",\"interval\":{\"idle_rate\":";
   write_number(os, w.idle_rate);
   os << ",\"tasks\":" << w.tasks_delta << ",\"tasks_per_s\":";
   write_number(os, w.tasks_per_s);
   os << ",";
-  write_percentiles(os, "task_duration", w.task_duration_p50_ns,
-                    w.task_duration_p95_ns, w.task_duration_p99_ns,
-                    w.task_duration_mean_ns, duration_count);
+  write_percentiles(os, "task_duration", w.task_duration, "_ns");
   os << ",";
-  write_percentiles(os, "task_overhead", w.task_overhead_p50_ns,
-                    w.task_overhead_p95_ns, w.task_overhead_p99_ns,
-                    w.task_overhead_mean_ns, overhead_count);
+  write_percentiles(os, "task_overhead", w.task_overhead, "_ns");
   if (w.has_service) {
     // Optional section: present only while a task_service is registered.
     // Consumers (gran_top) treat its absence as "batch run", not an error.
@@ -110,44 +103,20 @@ void write_window_jsonl(std::ostream& os, const window_snapshot& w) {
     os << ",\"backlog\":";
     write_number(os, w.service_backlog);
     os << ",";
-    write_percentiles(os, "sojourn", w.sojourn_p50_ns, w.sojourn_p95_ns,
-                      w.sojourn_p99_ns, w.sojourn_mean_ns, w.sojourn_count);
+    write_percentiles(os, "sojourn", w.sojourn, "_ns");
     os << ",";
-    write_percentiles(os, "queue_wait", w.queue_wait_p50_ns,
-                      w.queue_wait_p95_ns, w.queue_wait_p99_ns,
-                      w.queue_wait_mean_ns, w.queue_wait_count);
+    write_percentiles(os, "queue_wait", w.queue_wait, "_ns");
     os << "}";
   }
   if (w.has_pmu) {
-    // Optional section: present only while the PMU plane is enabled. IPC
-    // values are dimensionless ratios, so the generic *_ns percentile keys
-    // don't fit — flat keys instead.
-    os << ",\"pmu\":{\"mode\":" << w.pmu_mode << ",\"ipc\":{\"p50\":";
-    write_number(os, w.ipc_p50);
-    os << ",\"p95\":";
-    write_number(os, w.ipc_p95);
-    os << ",\"p99\":";
-    write_number(os, w.ipc_p99);
-    os << ",\"mean\":";
-    write_number(os, w.ipc_mean);
-    os << ",\"count\":" << w.ipc_samples << "},\"instructions\":{\"p50\":";
-    write_number(os, w.instructions_p50);
-    os << ",\"p95\":";
-    write_number(os, w.instructions_p95);
-    os << ",\"p99\":";
-    write_number(os, w.instructions_p99);
-    os << ",\"mean\":";
-    write_number(os, w.instructions_mean);
-    os << ",\"count\":" << w.instructions_samples
-       << "},\"llc_miss\":{\"p50\":";
-    write_number(os, w.llc_p50);
-    os << ",\"p95\":";
-    write_number(os, w.llc_p95);
-    os << ",\"p99\":";
-    write_number(os, w.llc_p99);
-    os << ",\"mean\":";
-    write_number(os, w.llc_mean);
-    os << ",\"count\":" << w.llc_samples << "}}";
+    // Optional section: present only while the PMU plane is enabled.
+    os << ",\"pmu\":{\"mode\":" << w.pmu_mode << ",";
+    write_percentiles(os, "ipc", w.ipc, "");
+    os << ",";
+    write_percentiles(os, "instructions", w.instructions, "");
+    os << ",";
+    write_percentiles(os, "llc_miss", w.llc, "");
+    os << "}";
   }
   os << "}";
 
@@ -182,16 +151,16 @@ void write_window_jsonl(std::ostream& os, const window_snapshot& w) {
     os << ",\"stolen_per_s\":";
     write_number(os, row.stolen_per_s);
     os << ",\"duration_p50_ns\":";
-    write_number(os, row.duration_p50_ns);
+    write_number(os, row.duration.p50);
     os << ",\"duration_p95_ns\":";
-    write_number(os, row.duration_p95_ns);
+    write_number(os, row.duration.p95);
     os << ",\"duration_p99_ns\":";
-    write_number(os, row.duration_p99_ns);
-    os << ",\"duration_samples\":" << row.duration_samples;
+    write_number(os, row.duration.p99);
+    os << ",\"duration_samples\":" << row.duration.count;
     if (w.has_pmu) {
       os << ",\"ipc_p50\":";
-      write_number(os, row.ipc_p50);
-      os << ",\"ipc_samples\":" << row.ipc_samples;
+      write_number(os, row.ipc.p50);
+      os << ",\"ipc_samples\":" << row.ipc.count;
     }
     if (row.heartbeat_age_ns >= 0) {
       os << ",\"heartbeat_age_ns\":";

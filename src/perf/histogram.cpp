@@ -1,7 +1,6 @@
 #include "perf/histogram.hpp"
 
 #include <cmath>
-#include <mutex>
 
 namespace gran::perf {
 
@@ -55,54 +54,6 @@ histogram_snapshot histogram_snapshot::snapshot_delta(const histogram_snapshot& 
   d.count = count - prev.count;
   d.sum = sum - prev.sum;
   return d;
-}
-
-histogram_registry& histogram_registry::instance() {
-  static histogram_registry r;
-  return r;
-}
-
-void histogram_registry::add(const std::string& name, snap_fn fn) {
-  std::lock_guard<std::shared_mutex> lock(mutex_);
-  sources_[name] = std::move(fn);
-}
-
-bool histogram_registry::remove(const std::string& name) {
-  std::lock_guard<std::shared_mutex> lock(mutex_);
-  return sources_.erase(name) != 0;
-}
-
-void histogram_registry::remove_prefix(const std::string& prefix) {
-  std::lock_guard<std::shared_mutex> lock(mutex_);
-  auto it = sources_.lower_bound(prefix);
-  while (it != sources_.end() && it->first.rfind(prefix, 0) == 0)
-    it = sources_.erase(it);
-}
-
-std::vector<std::pair<std::string, histogram_snapshot>> histogram_registry::snap_all(
-    const std::string& prefix) const {
-  // Shared lock held across the snap calls — a barrier against
-  // remove_prefix, see the header comment.
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<std::pair<std::string, histogram_snapshot>> out;
-  for (auto it = sources_.lower_bound(prefix);
-       it != sources_.end() && it->first.rfind(prefix, 0) == 0; ++it)
-    out.emplace_back(it->first, it->second());
-  return out;
-}
-
-std::vector<std::string> histogram_registry::list(const std::string& prefix) const {
-  std::vector<std::string> out;
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  for (auto it = sources_.lower_bound(prefix);
-       it != sources_.end() && it->first.rfind(prefix, 0) == 0; ++it)
-    out.push_back(it->first);
-  return out;
-}
-
-void histogram_registry::clear() {
-  std::lock_guard<std::shared_mutex> lock(mutex_);
-  sources_.clear();
 }
 
 histogram_snapshot log2_histogram::snap() const {

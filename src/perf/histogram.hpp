@@ -6,20 +6,14 @@
 // Recording is a bit_width + one relaxed fetch_add (~2 ns), cheap enough to
 // stay always-on in the run_phase hot path. Queries take a `snapshot` (a
 // plain copy), which supports merging across workers and percentile
-// interpolation — that is what backs the
-// /threads/histogram/task-duration/p50|p95|p99 counters.
+// interpolation; registry::add_histogram (perf/counters.hpp) publishes a
+// histogram and its /p50|/p95|/p99|/mean|/count views from one snapshot.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <shared_mutex>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace gran::perf {
 
@@ -47,45 +41,6 @@ struct histogram_snapshot {
   // current snapshot is returned (`reset_detected` reports which happened).
   histogram_snapshot snapshot_delta(const histogram_snapshot& prev,
                                     bool* reset_detected = nullptr) const;
-};
-
-// Process-wide registry of named histogram *sources* (snapshot functions),
-// the distribution-valued sibling of perf::registry: scalar percentile
-// gauges lose the bucket structure, but windowed telemetry needs raw
-// snapshots to compute interval deltas (snapshot_delta) and merge views
-// across workers. The thread manager registers
-// /threads/histogram/task-{duration,overhead} (merged over workers) plus
-// per-worker instances; the window aggregator snapshots them each tick.
-class histogram_registry {
- public:
-  using snap_fn = std::function<histogram_snapshot()>;
-
-  static histogram_registry& instance();
-
-  // Registers a source; replaces any previous registration of `name`.
-  void add(const std::string& name, snap_fn fn);
-  bool remove(const std::string& name);
-  void remove_prefix(const std::string& prefix);
-
-  // Snapshots every source whose name starts with `prefix`; the shared lock
-  // is held across the snap calls so remove_prefix is a barrier against
-  // in-flight snapshots (same contract as registry::query_all — the thread
-  // manager's destructor depends on it). Results are sorted by name.
-  std::vector<std::pair<std::string, histogram_snapshot>> snap_all(
-      const std::string& prefix) const;
-
-  std::vector<std::string> list(const std::string& prefix = "/") const;
-
-  void clear();  // tests
-
- private:
-  histogram_registry() = default;
-
-  // Reader-writer, same discipline as registry::mutex_: snap_all samples
-  // under a shared lock, mutators are exclusive, snap fns must not call
-  // back into the mutating API.
-  mutable std::shared_mutex mutex_;
-  std::map<std::string, snap_fn> sources_;
 };
 
 class log2_histogram {

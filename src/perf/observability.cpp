@@ -4,8 +4,6 @@
 #include <mutex>
 
 #include "perf/counters.hpp"
-#include "perf/heartbeat.hpp"
-#include "perf/histogram.hpp"
 #include "perf/pmu.hpp"
 #include "perf/telemetry.hpp"
 #include "perf/trace.hpp"
@@ -49,8 +47,6 @@ void start_observers(const config::settings& s) {
   // Touch the singletons the session's thread uses so they are constructed
   // first and therefore destroyed after the session at exit.
   registry::instance();
-  histogram_registry::instance();
-  heartbeat_board::instance();
   tracer::instance();
   static telemetry_session session(std::move(to));
   g_telemetry = &session;

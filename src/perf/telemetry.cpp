@@ -8,9 +8,7 @@
 #include <sstream>
 
 #include "perf/analysis.hpp"
-#include "perf/heartbeat.hpp"
 #include "perf/trace.hpp"
-#include "util/timer.hpp"
 
 namespace gran::perf {
 
@@ -129,30 +127,8 @@ void telemetry_session::run() {
   close_window();
 }
 
-void telemetry_session::fill_heartbeats(window_snapshot& w) {
-  heartbeat_board& board = heartbeat_board::instance();
-  if (board.active_workers() == 0) return;
-  const std::uint64_t now = tsc_clock::now();
-  for (worker_window& row : w.workers) {
-    const heartbeat_slot* slot = board.slot(row.worker);
-    if (slot == nullptr || row.worker >= board.active_workers()) continue;
-    const std::uint64_t beat = slot->beat_ticks.load(std::memory_order_relaxed);
-    if (beat != 0 && now > beat)
-      row.heartbeat_age_ns = static_cast<double>(tsc_clock::to_ns(now - beat));
-    else if (beat != 0)
-      row.heartbeat_age_ns = 0;
-    const std::uint64_t start =
-        slot->phase_start_ticks.load(std::memory_order_acquire);
-    if (start != 0 && now > start) {
-      row.running_task = slot->task_id.load(std::memory_order_relaxed);
-      row.running_ns = static_cast<double>(tsc_clock::to_ns(now - start));
-    }
-  }
-}
-
 void telemetry_session::close_window() {
-  window_snapshot w = aggregator_.tick();
-  fill_heartbeats(w);
+  const window_snapshot w = aggregator_.tick();
 
   if (jsonl_.ok()) {
     std::ostringstream line;

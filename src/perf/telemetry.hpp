@@ -84,9 +84,6 @@ class telemetry_session {
   void run();
   void close_window();
   void handle_incidents(const window_snapshot& w);
-  // Fills the heartbeat/running columns of the per-worker rows (the
-  // aggregator reads only registries; liveness comes from the board).
-  static void fill_heartbeats(window_snapshot& w);
 
   telemetry_options opt_;
   window_aggregator aggregator_;

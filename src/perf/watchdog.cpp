@@ -1,20 +1,10 @@
 #include "perf/watchdog.hpp"
 
-#include <chrono>
 #include <cstdio>
-
-#include "perf/heartbeat.hpp"
-#include "util/timer.hpp"
 
 namespace gran::perf {
 
 namespace {
-
-std::int64_t now_steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string format_ms(double ns) {
   char buf[32];
@@ -44,12 +34,10 @@ void stall_stats::reset() noexcept {
   flatline.store(0, std::memory_order_relaxed);
 }
 
-stall_watchdog::stall_watchdog(watchdog_options opt) : opt_(opt) {
-  reported_phase_.assign(heartbeat_board::capacity, 0);
-}
+stall_watchdog::stall_watchdog(watchdog_options opt) : opt_(opt) {}
 
 void stall_watchdog::reset() {
-  reported_phase_.assign(heartbeat_board::capacity, 0);
+  reported_phase_.clear();
   starved_run_ = 0;
   flatline_run_ = 0;
   starved_open_ = false;
@@ -58,39 +46,29 @@ void stall_watchdog::reset() {
 
 std::vector<stall_incident> stall_watchdog::check(const window_snapshot& w) {
   std::vector<stall_incident> out;
-  heartbeat_board& board = heartbeat_board::instance();
-  const int workers = board.active_workers();
-  const std::int64_t now = now_steady_ns();
-  const std::uint64_t now_ticks = tsc_clock::now();
 
   // --- stuck task: one phase executing longer than the threshold ---------
   bool any_phase_in_flight = false;
-  for (int wk = 0; wk < workers; ++wk) {
-    const heartbeat_slot* slot = board.slot(wk);
-    if (slot == nullptr) break;
-    const std::uint64_t start =
-        slot->phase_start_ticks.load(std::memory_order_relaxed);
-    if (start == 0) {
-      reported_phase_[static_cast<std::size_t>(wk)] = 0;  // phase ended; rearm
+  for (const worker_window& row : w.workers) {
+    if (row.running_task == 0) {
+      reported_phase_.erase(row.worker);  // phase ended; rearm
       continue;
     }
     any_phase_in_flight = true;
-    if (now_ticks <= start) continue;  // racy read across a phase boundary
-    const double age_ns =
-        static_cast<double>(tsc_clock::to_ns(now_ticks - start));
-    if (age_ns < static_cast<double>(opt_.stuck_ns)) continue;
-    if (reported_phase_[static_cast<std::size_t>(wk)] == start) continue;
-    reported_phase_[static_cast<std::size_t>(wk)] = start;
+    if (row.running_ns < static_cast<double>(opt_.stuck_ns)) continue;
+    const auto [flagged, fresh] = reported_phase_.try_emplace(row.worker, row.phases);
+    if (!fresh && flagged->second == row.phases) continue;
+    flagged->second = row.phases;
     stall_stats::instance().stuck.fetch_add(1, std::memory_order_relaxed);
 
     stall_incident inc;
     inc.kind = stall_kind::stuck_task;
-    inc.detected_at_ns = now;
-    inc.worker = wk;
-    inc.task_id = slot->task_id.load(std::memory_order_relaxed);
-    inc.age_ns = age_ns;
+    inc.detected_at_ns = w.t_end_ns;
+    inc.worker = row.worker;
+    inc.task_id = row.running_task;
+    inc.age_ns = row.running_ns;
     inc.detail = "task " + std::to_string(inc.task_id) + " executing on worker " +
-                 std::to_string(wk) + " for " + format_ms(age_ns) +
+                 std::to_string(row.worker) + " for " + format_ms(row.running_ns) +
                  " (threshold " + format_ms(static_cast<double>(opt_.stuck_ns)) +
                  ")";
     out.push_back(std::move(inc));
@@ -106,7 +84,7 @@ std::vector<stall_incident> stall_watchdog::check(const window_snapshot& w) {
       stall_stats::instance().starved.fetch_add(1, std::memory_order_relaxed);
       stall_incident inc;
       inc.kind = stall_kind::starved_backlogged;
-      inc.detected_at_ns = now;
+      inc.detected_at_ns = w.t_end_ns;
       inc.age_ns = static_cast<double>(starved_run_) * w.dt_s * 1e9;
       inc.detail = std::to_string(static_cast<long>(starving)) +
                    " worker(s) starving with " +
@@ -132,7 +110,7 @@ std::vector<stall_incident> stall_watchdog::check(const window_snapshot& w) {
       stall_stats::instance().flatline.fetch_add(1, std::memory_order_relaxed);
       stall_incident inc;
       inc.kind = stall_kind::flatline;
-      inc.detected_at_ns = now;
+      inc.detected_at_ns = w.t_end_ns;
       inc.age_ns = static_cast<double>(flatline_run_) * w.dt_s * 1e9;
       inc.detail = std::to_string(static_cast<long>(alive)) +
                    " task(s) alive but no phase started or completed for " +

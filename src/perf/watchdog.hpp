@@ -1,11 +1,11 @@
-// Stall watchdog: turns the heartbeat board (perf/heartbeat.hpp) and the
-// windowed counters (perf/window.hpp) into explicit incidents instead of
+// Stall watchdog: turns the windowed counters (perf/window.hpp), the
+// workers' liveness gauges among them, into explicit incidents instead of
 // silent hangs. Three detectors, evaluated once per telemetry tick:
 //
 //   stuck_task          a phase has been executing on one worker for longer
-//                       than `stuck_ns` (phase_start_ticks age). Reported
-//                       once per (worker, phase) — a 10-minute task raises
-//                       one incident, not one per tick.
+//                       than `stuck_ns` (the worker row's running_ns).
+//                       Reported once per (worker, phase) — a 10-minute task
+//                       raises one incident, not one per tick.
 //   starved_backlogged  workers report starving AND tasks sit queued AND no
 //                       task completed, for `starved_ticks` consecutive
 //                       ticks: work exists but is not flowing (lost wakeup,
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "perf/window.hpp"
@@ -42,7 +43,7 @@ const char* to_string(stall_kind kind);
 
 struct stall_incident {
   stall_kind kind = stall_kind::stuck_task;
-  std::int64_t detected_at_ns = 0;  // steady_clock, absolute
+  std::int64_t detected_at_ns = 0;  // the window's end (steady_clock, absolute)
   int worker = -1;                  // stuck_task only
   std::uint64_t task_id = 0;        // stuck_task only
   double age_ns = 0;                // how long the condition has persisted
@@ -85,8 +86,8 @@ class stall_watchdog {
  public:
   explicit stall_watchdog(watchdog_options opt = {});
 
-  // Evaluates all detectors against the window `w` plus the live heartbeat
-  // board; returns the incidents that fired on this tick (usually empty).
+  // Evaluates all detectors against the window `w`; returns the incidents
+  // that fired on this tick (usually empty).
   std::vector<stall_incident> check(const window_snapshot& w);
 
   // Forgets episode state (measurement-region boundary).
@@ -96,7 +97,9 @@ class stall_watchdog {
 
  private:
   watchdog_options opt_;
-  std::vector<std::uint64_t> reported_phase_;  // per worker: phase already flagged
+  // Per worker with a flagged phase in flight: that phase, named by the
+  // worker's phase count (worker_window::phases).
+  std::unordered_map<int, std::uint64_t> reported_phase_;
   int starved_run_ = 0;
   int flatline_run_ = 0;
   bool starved_open_ = false;   // incident already raised for this episode

@@ -285,40 +285,16 @@ void task_service::register_perf_counters() {
             return static_cast<double>(backlog_peak_.load(std::memory_order_relaxed));
           });
 
-  struct histogram_registration {
-    const char* base;
-    const perf::log2_histogram* hist;
-    const char* what;
-  };
-  const histogram_registration histograms[] = {
-      {"/service/histogram/sojourn", &hist_sojourn_,
-       "request sojourn (submit -> completion)"},
-      {"/service/histogram/queue-wait", &hist_queue_wait_,
-       "request queue wait (submit -> first run)"},
-  };
-  auto& hreg = perf::histogram_registry::instance();
-  hreg.remove_prefix("/service");
-  for (const auto& h : histograms) {
-    const std::string base = h.base;
-    const std::string what = h.what;
-    const perf::log2_histogram* hist = h.hist;
-    for (const double p : {50.0, 95.0, 99.0}) {
-      const std::string tag = "p" + std::to_string(static_cast<int>(p));
-      reg.add(base + "/" + tag, counter_kind::gauge, tag + " " + what + ", ns",
-              [hist, p] { return hist->snap().percentile(p); });
-    }
-    reg.add(base + "/mean", counter_kind::gauge, "mean " + what + ", ns",
-            [hist] { return hist->snap().mean(); });
-    reg.add(base + "/count", counter_kind::monotonic, "samples in " + what,
-            [hist] { return static_cast<double>(hist->count()); });
-    hreg.add(base, [hist] { return hist->snap(); });
-  }
+  reg.add_histogram("/service/histogram/sojourn", "request sojourn (submit -> completion)",
+                    "ns", [this] { return hist_sojourn_.snap(); });
+  reg.add_histogram("/service/histogram/queue-wait",
+                    "request queue wait (submit -> first run)", "ns",
+                    [this] { return hist_queue_wait_.snap(); });
   counters_registered_ = true;
 }
 
 void task_service::unregister_perf_counters() {
   perf::registry::instance().remove_prefix("/service");
-  perf::histogram_registry::instance().remove_prefix("/service");
   counters_registered_ = false;
 }
 

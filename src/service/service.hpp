@@ -100,7 +100,7 @@ struct service_config {
   std::int64_t backlog_bound = config::integer(config::service_backlog);  // admission bound
   admission_policy policy = policy_from_string(config::text(config::service_policy));
   int drain_batch = static_cast<int>(config::integer(config::service_batch));  // spawns per yield
-  bool register_counters = true;  // /service/... registry + histogram sources
+  bool register_counters = true;  // /service/... counters and histograms
 };
 
 class task_service {

@@ -142,10 +142,6 @@ service_sim_result run_service_sim(const service_sim_config& cfg) {
   res.accepted = accepted;
   res.completed = completed;
   res.sojourn = sojourn_hist.snap();
-  res.sojourn_p50_ns = res.sojourn.percentile(50);
-  res.sojourn_p95_ns = res.sojourn.percentile(95);
-  res.sojourn_p99_ns = res.sojourn.percentile(99);
-  res.sojourn_mean_ns = res.sojourn.mean();
   res.achieved_per_s =
       res.makespan_s > 0 ? static_cast<double>(completed) / res.makespan_s : 0;
   return res;

@@ -53,8 +53,6 @@ struct service_sim_result {
   double makespan_s = 0;        // last completion time
   double offered_per_s = 0;     // generated / duration
   double achieved_per_s = 0;    // completed / makespan
-  double sojourn_p50_ns = 0, sojourn_p95_ns = 0, sojourn_p99_ns = 0,
-         sojourn_mean_ns = 0;
   perf::histogram_snapshot sojourn;  // full distribution (log2 buckets)
 };
 

@@ -47,21 +47,16 @@ void timer_service::sleep_until(clock::time_point deadline) {
     std::this_thread::sleep_until(deadline);
     return;
   }
-
-  this_task::prepare_suspend();
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (deadline <= clock::now()) {
-      lock.unlock();
-      this_task::cancel_suspend();
-      return;
-    }
-    ensure_thread_locked();
-    deadlines_.push(entry{deadline, t, nullptr});
+  // A wake by anyone but the timer ends a suspension early: retire the
+  // timer's claim (waiting out an in-flight delivery) and sleep again, so a
+  // stray wake costs one re-check and the timer never wakes a task that
+  // has moved on.
+  while (clock::now() < deadline) {
+    this_task::prepare_suspend();
+    const wake_ticket ticket = schedule_wake(t, deadline);
+    this_task::commit_suspend();
+    wake_ticket_cancel(ticket);
   }
-  // Wake the timer thread so it can re-arm to an earlier deadline.
-  cv_.notify_one();
-  this_task::commit_suspend();
 }
 
 wake_ticket timer_service::schedule_wake(task* t, clock::time_point deadline) {
@@ -106,17 +101,15 @@ void timer_service::timer_main() {
     }
     lock.unlock();
     for (const entry& e : expired) {
-      if (e.ticket != nullptr) {
-        // Cancellable wake: claim it; skip if the waiter cancelled.
-        int expected = k_armed;
-        if (!e.ticket->compare_exchange_strong(expected, k_firing,
-                                               std::memory_order_acq_rel))
-          continue;
-      }
+      // Claim the wake; skip it if the waiter cancelled.
+      int expected = k_armed;
+      if (!e.ticket->compare_exchange_strong(expected, k_firing,
+                                             std::memory_order_acq_rel))
+        continue;
       thread_manager* tm = e.sleeper->owner();
       GRAN_ASSERT_MSG(tm != nullptr, "sleeping task has no owning manager");
       tm->wake(e.sleeper);
-      if (e.ticket != nullptr) e.ticket->store(k_done, std::memory_order_release);
+      e.ticket->store(k_done, std::memory_order_release);
     }
     lock.lock();
   }

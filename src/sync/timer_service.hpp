@@ -42,7 +42,8 @@ class timer_service {
   timer_service(const timer_service&) = delete;
   timer_service& operator=(const timer_service&) = delete;
 
-  // Blocks the caller until `deadline`: cooperatively inside a task,
+  // Blocks the caller until `deadline`: cooperatively inside a task (on a
+  // schedule_wake ticket, so a stray wake only re-checks the deadline),
   // natively otherwise.
   void sleep_until(clock::time_point deadline);
 
@@ -65,7 +66,7 @@ class timer_service {
   struct entry {
     clock::time_point deadline;
     task* sleeper;
-    wake_ticket ticket;  // null for plain sleeps (not cancellable)
+    wake_ticket ticket;
     bool operator>(const entry& o) const { return deadline > o.deadline; }
   };
 

@@ -5,7 +5,6 @@
 #include <exception>
 #include <iostream>
 
-#include "perf/heartbeat.hpp"
 #include "perf/observability.hpp"
 #include "perf/report.hpp"
 #include "perf/trace.hpp"
@@ -28,6 +27,13 @@ namespace {
 thread_local thread_manager* tl_manager = nullptr;
 thread_local int tl_worker = -1;
 thread_local task* tl_task = nullptr;
+
+// ns from a liveness stamp to `now`; 0 for no stamp, or for one read ahead
+// of `now` across a phase boundary.
+double age_ns(std::uint64_t stamp, std::uint64_t now) {
+  return stamp != 0 && now > stamp ? static_cast<double>(tsc_clock::to_ns(now - stamp))
+                                   : 0.0;
+}
 
 }  // namespace
 
@@ -97,15 +103,6 @@ thread_manager::thread_manager(scheduler_config cfg)
   if (perf::tracer::enabled())
     for (int w = 0; w < workers; ++w)
       workers_[static_cast<std::size_t>(w)]->trace = perf::tracer::instance().ring(w);
-
-  // Liveness monitoring: publish this pool on the heartbeat board so the
-  // stall watchdog (perf/watchdog.hpp) can observe the workers without a
-  // dependency on this class. Like the counter registry, the board belongs
-  // to the most recent manager.
-  perf::heartbeat_board::instance().attach(workers);
-  for (int w = 0; w < workers; ++w)
-    workers_[static_cast<std::size_t>(w)]->heartbeat =
-        perf::heartbeat_board::instance().slot(w);
 
   policy_ = make_policy(cfg_.policy);
   policy_->init(*this);
@@ -325,7 +322,6 @@ void thread_manager::stop() {
   // park_cv_) as soon as stop() returns.
   while (external_in_flight_.load(std::memory_order_acquire) != 0)
     std::this_thread::yield();
-  perf::heartbeat_board::instance().detach();
 
   // GRAN_PRINT_COUNTERS=<prefix> dumps the counters at shutdown — the
   // equivalent of HPX's --hpx:print-counter post-processing interface.
@@ -379,8 +375,7 @@ void thread_manager::worker_main(int w) {
     // Heartbeat: reuses the tsc read above, so liveness costs one relaxed
     // store per scheduler round. Parked workers still beat every
     // idle_park_us.
-    if (me.heartbeat != nullptr)
-      me.heartbeat->beat_ticks.store(now, std::memory_order_relaxed);
+    me.live->beat_ticks.store(now, std::memory_order_relaxed);
   };
 
   bool had_work = true;
@@ -488,12 +483,10 @@ void thread_manager::run_phase(int w, task* t) {
   const std::uint64_t t0 = tsc_clock::now();
 
   // Publish the in-flight phase for the stall watchdog: task id first, then
-  // the start stamp that marks the slot occupied (readers treat
+  // the start stamp that marks it valid (readers treat
   // phase_start_ticks != 0 as "task_id is valid").
-  if (me.heartbeat != nullptr) {
-    me.heartbeat->task_id.store(t->id(), std::memory_order_relaxed);
-    me.heartbeat->phase_start_ticks.store(t0, std::memory_order_release);
-  }
+  me.live->task_id.store(t->id(), std::memory_order_relaxed);
+  me.live->phase_start_ticks.store(t0, std::memory_order_release);
 
   // The gap since the previous phase on this worker is that slot's
   // management overhead (scheduling, queue operations, idle/park time) —
@@ -534,10 +527,7 @@ void thread_manager::run_phase(int w, task* t) {
   const std::uint64_t dt = t1 - t0;
   tl_task = nullptr;
   me.last_phase_end_ticks.store(t1, std::memory_order_relaxed);
-  if (me.heartbeat != nullptr) {
-    me.heartbeat->phase_start_ticks.store(0, std::memory_order_release);
-    me.heartbeat->beat_ticks.store(t1, std::memory_order_relaxed);
-  }
+  me.live->phase_start_ticks.store(0, std::memory_order_release);
 
   me.counters.bump(counter_event::exec_ticks, dt);
   me.counters.bump(counter_event::phases);
@@ -855,18 +845,11 @@ void thread_manager::register_counters() {
           });
   reg.add("/threads/watchdog/heartbeat-age-max-ns", counter_kind::gauge,
           "age of the stalest worker heartbeat, ns", [this] {
-            auto& board = perf::heartbeat_board::instance();
             const std::uint64_t now = tsc_clock::now();
             double max_age = 0;
-            for (int w = 0; w < num_workers(); ++w) {
-              const perf::heartbeat_slot* slot = board.slot(w);
-              if (slot == nullptr) break;
-              const std::uint64_t beat =
-                  slot->beat_ticks.load(std::memory_order_relaxed);
-              if (beat == 0 || now <= beat) continue;
+            for (const auto& wd : workers_)
               max_age = std::max(
-                  max_age, static_cast<double>(tsc_clock::to_ns(now - beat)));
-            }
+                  max_age, age_ns(wd->live->beat_ticks.load(std::memory_order_relaxed), now));
             return max_age;
           });
 
@@ -913,73 +896,30 @@ void thread_manager::register_counters() {
           [tot] { return static_cast<double>(tot().pmu_ctx_switches); });
 
   // Distribution counters: log2-bucketed histograms of per-task values,
-  // exposed as percentile/mean/count gauges (docs/COUNTERS.md). The spread
+  // each with percentile/mean/count views (docs/COUNTERS.md). The spread
   // these report is exactly what the paper's scalar means (Eqs. 2/3) hide.
-  const auto duration_snap = [this] {
-    perf::histogram_snapshot s;
-    for (const auto& wd : workers_) s += wd->hist_task_duration.snap();
-    return s;
+  // An aggregate merges every worker's histogram.
+  const auto merged = [this](perf::log2_histogram worker_data::*hist) {
+    return [this, hist] {
+      perf::histogram_snapshot s;
+      for (const auto& wd : workers_) s += ((*wd).*hist).snap();
+      return s;
+    };
   };
-  const auto overhead_snap = [this] {
-    perf::histogram_snapshot s;
-    for (const auto& wd : workers_) s += wd->hist_task_overhead.snap();
-    return s;
-  };
-  const auto ipc_snap = [this] {
-    perf::histogram_snapshot s;
-    for (const auto& wd : workers_) s += wd->hist_task_ipc.snap();
-    return s;
-  };
-  const auto llc_snap = [this] {
-    perf::histogram_snapshot s;
-    for (const auto& wd : workers_) s += wd->hist_task_llc.snap();
-    return s;
-  };
-  const auto instructions_snap = [this] {
-    perf::histogram_snapshot s;
-    for (const auto& wd : workers_) s += wd->hist_task_instructions.snap();
-    return s;
-  };
-  struct histogram_registration {
-    const char* base;
-    std::function<perf::histogram_snapshot()> snap;
-    const char* what;
-    const char* unit;
-  };
-  const histogram_registration histograms[] = {
-      {"/threads/histogram/task-duration", duration_snap,
-       "task duration (total t_exec per completed task)", "ns"},
-      {"/threads/histogram/task-overhead", overhead_snap,
-       "per-slot overhead (non-exec gap between phases)", "ns"},
-      {"/threads/histogram/task-ipc", ipc_snap,
-       "per-phase instructions per cycle", "milli-IPC"},
-      {"/threads/histogram/task-llc-miss", llc_snap,
-       "per-phase last-level-cache misses", "misses"},
-      {"/threads/histogram/task-instructions", instructions_snap,
-       "per-phase instructions retired", "instructions"},
-  };
-  auto& hreg = perf::histogram_registry::instance();
-  hreg.remove_prefix("/threads");
-  for (const auto& h : histograms) {
-    const std::string base = h.base;
-    const std::string what = h.what;
-    const std::string unit = h.unit;
-    for (const double p : {50.0, 95.0, 99.0}) {
-      const std::string tag = "p" + std::to_string(static_cast<int>(p));
-      reg.add(base + "/" + tag, counter_kind::gauge,
-              tag + " " + what + ", " + unit,
-              [snap = h.snap, p] { return snap().percentile(p); });
-    }
-    reg.add(base + "/mean", counter_kind::gauge,
-            "mean " + what + ", " + unit,
-            [snap = h.snap] { return snap().mean(); });
-    reg.add(base + "/count", counter_kind::monotonic, "samples in " + what,
-            [snap = h.snap] { return static_cast<double>(snap().count); });
-    // Raw-snapshot source for windowed telemetry: interval percentiles need
-    // the bucket structure (histogram_snapshot::snapshot_delta), which the
-    // scalar gauges above cannot provide.
-    hreg.add(base, h.snap);
-  }
+  reg.add_histogram("/threads/histogram/task-duration",
+                    "task duration (total t_exec per completed task)", "ns",
+                    merged(&worker_data::hist_task_duration));
+  reg.add_histogram("/threads/histogram/task-overhead",
+                    "per-slot overhead (non-exec gap between phases)", "ns",
+                    merged(&worker_data::hist_task_overhead));
+  reg.add_histogram("/threads/histogram/task-ipc", "per-phase instructions per cycle",
+                    "milli-IPC", merged(&worker_data::hist_task_ipc));
+  reg.add_histogram("/threads/histogram/task-llc-miss",
+                    "per-phase last-level-cache misses", "misses",
+                    merged(&worker_data::hist_task_llc));
+  reg.add_histogram("/threads/histogram/task-instructions",
+                    "per-phase instructions retired", "instructions",
+                    merged(&worker_data::hist_task_instructions));
 
   // Per-worker instances of the headline counters. They read the cells the
   // aggregates sum, so every additive instance sums to its aggregate.
@@ -990,6 +930,8 @@ void thread_manager::register_counters() {
   };
   static constexpr instance_registration instances[] = {
       {"/count/cumulative", counter_event::retired, "tasks executed by this worker"},
+      {"/count/cumulative-phases", counter_event::phases,
+       "thread phases executed by this worker"},
       {"/time/cumulative", counter_event::exec_ticks, "Σt_exec of this worker, ns"},
       {"/time/overall", counter_event::func_ticks, "Σt_func of this worker, ns"},
       {"/count/pending-accesses", counter_event::pending_accesses,
@@ -1018,44 +960,33 @@ void thread_manager::register_counters() {
               const auto s = wd->counters.read(counter_event::stolen);
               return static_cast<double>(s - std::min(s, r));
             });
-    for (const double p : {50.0, 95.0, 99.0}) {
-      const std::string tag = "p" + std::to_string(static_cast<int>(p));
-      reg.add(inst + "/histogram/task-duration/" + tag, counter_kind::gauge,
-              tag + " task duration on this worker, ns",
-              [wd, p] { return wd->hist_task_duration.snap().percentile(p); });
-    }
-    reg.add(inst + "/histogram/task-duration/count", counter_kind::monotonic,
-            "task-duration samples on this worker", [wd] {
-              return static_cast<double>(wd->hist_task_duration.count());
-            });
+    reg.add_histogram(inst + "/histogram/task-duration", "task duration on this worker",
+                      "ns", [wd] { return wd->hist_task_duration.snap(); });
+    reg.add_histogram(inst + "/histogram/task-ipc", "per-phase IPC on this worker",
+                      "milli-IPC", [wd] { return wd->hist_task_ipc.snap(); });
+    // Liveness (worker_liveness): what the stall watchdog reads of this
+    // worker through its telemetry window.
     reg.add(inst + "/watchdog/heartbeat-age-ns", counter_kind::gauge,
             "age of this worker's last heartbeat, ns", [wd] {
-              if (wd->heartbeat == nullptr) return -1.0;
-              const std::uint64_t beat =
-                  wd->heartbeat->beat_ticks.load(std::memory_order_relaxed);
-              const std::uint64_t now = tsc_clock::now();
-              if (beat == 0 || now <= beat) return 0.0;
-              return static_cast<double>(tsc_clock::to_ns(now - beat));
+              return age_ns(wd->live->beat_ticks.load(std::memory_order_relaxed),
+                            tsc_clock::now());
             });
-    for (const double p : {50.0, 95.0, 99.0}) {
-      const std::string tag = "p" + std::to_string(static_cast<int>(p));
-      reg.add(inst + "/histogram/task-ipc/" + tag, counter_kind::gauge,
-              tag + " per-phase IPC on this worker, milli-IPC",
-              [wd, p] { return wd->hist_task_ipc.snap().percentile(p); });
-    }
-    reg.add(inst + "/histogram/task-ipc/count", counter_kind::monotonic,
-            "task-ipc samples on this worker",
-            [wd] { return static_cast<double>(wd->hist_task_ipc.count()); });
-    hreg.add(inst + "/histogram/task-duration",
-             [wd] { return wd->hist_task_duration.snap(); });
-    hreg.add(inst + "/histogram/task-ipc",
-             [wd] { return wd->hist_task_ipc.snap(); });
+    reg.add(inst + "/watchdog/running-task", counter_kind::gauge,
+            "id of the task whose phase runs on this worker (0 = none)", [wd] {
+              if (wd->live->phase_start_ticks.load(std::memory_order_acquire) == 0)
+                return 0.0;
+              return static_cast<double>(wd->live->task_id.load(std::memory_order_relaxed));
+            });
+    reg.add(inst + "/watchdog/running-ns", counter_kind::gauge,
+            "age of the phase in flight on this worker, ns (0 = none)", [wd] {
+              return age_ns(wd->live->phase_start_ticks.load(std::memory_order_acquire),
+                            tsc_clock::now());
+            });
   }
 }
 
 void thread_manager::unregister_counters() {
   perf::registry::instance().remove_prefix("/threads");
-  perf::histogram_registry::instance().remove_prefix("/threads");
 }
 
 // --- this_task -------------------------------------------------------------

@@ -75,9 +75,9 @@ class thread_manager {
   // waiter entry, re-checks and blocks again (block_until, sync/wait_queue.hpp),
   // so it costs one re-check and can neither release the waiter early nor
   // queue it twice; condition_variable::wait returns, as its spurious-wake
-  // contract allows. A task in this_task::sleep_for must be woken by the
-  // timer only. The caller must guarantee the task object is still alive (a
-  // terminated task is deleted by the runtime).
+  // contract allows; this_task::sleep_for sleeps again until its deadline.
+  // The caller must guarantee the task object is still alive (a terminated
+  // task is deleted by the runtime).
   void wake(task* t);
 
   // Re-queues a pending task (used internally and by tests).

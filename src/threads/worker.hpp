@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "perf/heartbeat.hpp"
 #include "perf/histogram.hpp"
 #include "perf/pmu.hpp"
 #include "queues/dual_queue.hpp"
@@ -115,6 +114,22 @@ struct worker_counters {
   alignas(cache_line_size) std::array<std::atomic<std::uint64_t>, size> base_{};
 };
 
+// A worker's liveness words, stamped with relaxed stores from the scheduler
+// loop and run_phase:
+//   * beat_ticks        last scheduler-round timestamp (tsc). A worker that
+//                       stops beating is wedged; a parked one still beats
+//                       every idle_park_us.
+//   * phase_start_ticks tsc at the start of the phase in flight, 0 when no
+//                       task is running (stored with release, after
+//                       task_id).
+//   * task_id           id of the running task, valid while
+//                       phase_start_ticks != 0.
+struct worker_liveness {
+  std::atomic<std::uint64_t> beat_ticks{0};
+  std::atomic<std::uint64_t> phase_start_ticks{0};
+  std::atomic<std::uint64_t> task_id{0};
+};
+
 struct worker_data {
   explicit worker_data(std::size_t ring_capacity)
       : queue(ring_capacity), high_queue(ring_capacity) {}
@@ -170,10 +185,9 @@ struct worker_data {
   // manager construction (perf/trace.hpp). Not owned.
   perf::trace_ring* trace = nullptr;
 
-  // This worker's heartbeat slot on the process-global board
-  // (perf/heartbeat.hpp); nullptr when the worker index exceeds the board's
-  // capacity. Not owned. Stamped from the scheduler loop and run_phase.
-  perf::heartbeat_slot* heartbeat = nullptr;
+  // What the stall watchdog reads of this worker, through the
+  // /threads{worker#N}/watchdog/* gauges, on a line only this worker writes.
+  padded<worker_liveness> live;
 
   int index = -1;
   // Where this worker runs, from the pin plan: the logical CPU it is pinned

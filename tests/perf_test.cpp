@@ -1,12 +1,17 @@
 // Tests for the performance-counter framework (src/perf): path parsing,
-// registry operations, counter reports. Interval semantics live with the
-// window aggregator (telemetry_test).
+// registry operations, histogram registration, counter reports. Interval
+// semantics live with the window aggregator (telemetry_test).
 #include <gtest/gtest.h>
 
 #include "perf/counters.hpp"
+#include "perf/histogram.hpp"
 #include "perf/report.hpp"
+#include "perf/window.hpp"
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace gran::perf {
 namespace {
@@ -149,6 +154,71 @@ TEST_F(RegistryTest, QueryAllSamplesOutsideLock) {
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].second.value, 7.0);   // /test/plain
   EXPECT_EQ(all[1].second.value, 7.0);   // /test/reentrant via nested query
+}
+
+// A histogram registers once: a batch snapshots it once and computes all
+// five views from that copy, and a window tick takes one batch per prefix.
+TEST_F(RegistryTest, HistogramSnapshotsOncePerBatch) {
+  auto& reg = registry::instance();
+  int calls = 0;
+  // Call k returns k samples of 2^(10+k): every value read names its call.
+  reg.add_histogram("/test/histogram/lat", "test latency", "ns", [&calls] {
+    ++calls;
+    const std::uint64_t v = std::uint64_t{1} << (10 + calls);
+    histogram_snapshot s;
+    s.buckets[static_cast<std::size_t>(log2_histogram::bucket_of(v))] =
+        static_cast<std::uint64_t>(calls);
+    s.count = static_cast<std::uint64_t>(calls);
+    s.sum = s.count * v;
+    return s;
+  });
+  const std::string base = "/test/histogram/lat/";
+  EXPECT_EQ(reg.list(base), (std::vector<std::string>{base + "count", base + "mean",
+                                                      base + "p50", base + "p95",
+                                                      base + "p99"}));
+  EXPECT_EQ(reg.kind_of(base + "count"), counter_kind::monotonic);
+  for (const char* view : {"mean", "p50", "p95", "p99"})
+    EXPECT_EQ(reg.kind_of(base + view), counter_kind::gauge) << view;
+  EXPECT_EQ(reg.describe(base + "p95"), "p95 test latency, ns");
+  EXPECT_EQ(reg.describe(base + "mean"), "mean test latency, ns");
+  EXPECT_EQ(reg.describe(base + "count"), "samples in test latency");
+
+  // Call 1: one sample of 2^11.
+  const auto all = reg.query_all("/test");
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(all.size(), 5u);
+  EXPECT_EQ(all[0].second.value, 1.0);     // count
+  EXPECT_EQ(all[1].second.value, 2048.0);  // mean
+  for (std::size_t i = 2; i < 5; ++i) {    // p50, p95, p99
+    EXPECT_GE(all[i].second.value, 2048.0) << all[i].first;
+    EXPECT_LT(all[i].second.value, 4096.0) << all[i].first;
+  }
+
+  // A query of one view snapshots once too (call 2: two samples).
+  EXPECT_EQ(reg.value_or(base + "count", -1), 2.0);
+  EXPECT_EQ(calls, 2);
+
+  window_options opt;
+  opt.prefixes = {"/test"};
+  window_aggregator agg(opt);
+  EXPECT_EQ(calls, 3);
+  // Call 4: four samples of 2^14, for the histogram and all its views.
+  const window_snapshot w = agg.tick();
+  EXPECT_EQ(calls, 4);
+  const window_histogram* h = w.find_histogram("/test/histogram/lat");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->cumulative.count, 4u);
+  EXPECT_EQ(w.value_or(base + "count", -1), 4.0);
+  EXPECT_EQ(w.value_or(base + "mean", -1), 16384.0);
+  for (const char* view : {"p50", "p95", "p99"}) {
+    EXPECT_GE(w.value_or(base + view, -1), 16384.0) << view;
+    EXPECT_LT(w.value_or(base + view, -1), 32768.0) << view;
+  }
+
+  // remove_prefix takes the histogram with its views.
+  reg.remove_prefix("/test");
+  EXPECT_TRUE(reg.list("/test").empty());
+  EXPECT_TRUE(reg.sample("/test").histograms.empty());
 }
 
 // --- report -------------------------------------------------------------------

@@ -317,7 +317,7 @@ TEST(ServiceSim, NativeAndSimAgreeOnAcceptedCount) {
   EXPECT_EQ(sim_res.completed, sim_res.accepted);
   EXPECT_EQ(native.completed, native.accepted);
   EXPECT_EQ(sim_res.rejected, 0u);
-  EXPECT_GT(sim_res.sojourn_p50_ns, 0.0);
+  EXPECT_GT(sim_res.sojourn.percentile(50), 0.0);
 }
 
 TEST(ServiceConfig, PolicyParsingRoundTrips) {

@@ -21,7 +21,6 @@
 #include "perf/analysis.hpp"
 #include "perf/counters.hpp"
 #include "perf/exporter.hpp"
-#include "perf/heartbeat.hpp"
 #include "perf/histogram.hpp"
 #include "perf/telemetry.hpp"
 #include "perf/trace.hpp"
@@ -29,7 +28,6 @@
 #include "perf/window.hpp"
 #include "threads/thread_manager.hpp"
 #include "util/minijson.hpp"
-#include "util/timer.hpp"
 
 namespace gran::perf {
 namespace {
@@ -51,13 +49,15 @@ void spin(int iters) {
 }
 
 // Builds a window_snapshot by hand for the watchdog detectors (sorted
-// metrics so value_or's binary search works).
+// metrics so value_or's binary search works), with the given worker rows.
 window_snapshot make_window(
     std::vector<std::pair<std::string, double>> gauges,
-    std::uint64_t tasks_delta, double phases_delta) {
+    std::uint64_t tasks_delta, double phases_delta,
+    std::vector<worker_window> workers = {}) {
   window_snapshot w;
   w.dt_s = 0.1;
   w.tasks_delta = tasks_delta;
+  w.workers = std::move(workers);
   gauges.emplace_back("/threads/count/cumulative-phases", phases_delta);
   std::sort(gauges.begin(), gauges.end());
   for (auto& [path, value] : gauges) {
@@ -71,6 +71,19 @@ window_snapshot make_window(
     w.metrics.push_back(std::move(m));
   }
   return w;
+}
+
+// A worker row as the aggregator builds it from the liveness gauges: the
+// worker's phase count, and the task running on it (0 = none) for how long.
+worker_window live_row(int worker, std::uint64_t phases, std::uint64_t task,
+                       double running_ns) {
+  worker_window row;
+  row.worker = worker;
+  row.heartbeat_age_ns = 1000;
+  row.phases = phases;
+  row.running_task = task;
+  row.running_ns = running_ns;
+  return row;
 }
 
 // --- window aggregation ----------------------------------------------------
@@ -147,7 +160,7 @@ TEST(WindowAggregator, LateRegisteredCounterJoins) {
 
 TEST(WindowAggregator, IntervalHistogramPercentiles) {
   log2_histogram h;
-  histogram_registry::instance().add("/wintest/histogram/lat",
+  registry::instance().add_histogram("/wintest/histogram/lat", "test latency", "ns",
                                      [&h] { return h.snap(); });
   for (int i = 0; i < 100; ++i) h.record(1000);
   window_options opt;
@@ -164,8 +177,10 @@ TEST(WindowAggregator, IntervalHistogramPercentiles) {
   EXPECT_FALSE(wh->reset_detected);
   // All interval samples sit in the 2^20 bucket, far from the cumulative p50.
   EXPECT_GE(wh->delta.percentile(50), static_cast<double>(1 << 20));
+  // The cumulative views sample the same histogram.
+  EXPECT_DOUBLE_EQ(w.value_or("/wintest/histogram/lat/count", -1), 150.0);
 
-  histogram_registry::instance().remove_prefix("/wintest");
+  registry::instance().remove_prefix("/wintest");
 }
 
 TEST(HistogramSnapshot, SnapshotDeltaDetectsReset) {
@@ -225,13 +240,14 @@ TEST(WindowAggregator, CrossChecksOfflineEq123) {
   // are frozen once the pool drains).
   const double off_duration =
       static_cast<double>(totals.exec_ns) / static_cast<double>(n);
-  ASSERT_GT(w.task_duration_mean_ns, 0.0);
-  EXPECT_NEAR(w.task_duration_mean_ns / off_duration, 1.0, 0.05);
+  ASSERT_GT(w.task_duration.mean, 0.0);
+  EXPECT_NEAR(w.task_duration.mean / off_duration, 1.0, 0.05);
+  EXPECT_EQ(w.task_duration.count, static_cast<std::uint64_t>(n));
 
   // Interval percentiles are ordered and bracket the mean's ballpark.
-  EXPECT_GT(w.task_duration_p50_ns, 0.0);
-  EXPECT_LE(w.task_duration_p50_ns, w.task_duration_p95_ns);
-  EXPECT_LE(w.task_duration_p95_ns, w.task_duration_p99_ns);
+  EXPECT_GT(w.task_duration.p50, 0.0);
+  EXPECT_LE(w.task_duration.p50, w.task_duration.p95);
+  EXPECT_LE(w.task_duration.p95, w.task_duration.p99);
 }
 
 // --- exporters -------------------------------------------------------------
@@ -276,6 +292,96 @@ TEST(Exporter, NonFiniteValuesSerializeAsZero) {
   EXPECT_EQ(doc->find("interval")->number_at("tasks_per_s", -1), 0.0);
 }
 
+// One fixed window with every section on: the line is pinned byte for byte,
+// so a change to the writer or to the window's summaries shows up here.
+TEST(Exporter, FixedWindowLineIsPinned) {
+  window_snapshot w;
+  w.seq = 7;
+  w.t_start_ns = 1'000'000'000;
+  w.t_end_ns = 1'100'000'000;
+  w.dt_s = 0.1;
+  const auto metric = [&w](const char* path, counter_kind kind, double value,
+                           double rate) {
+    window_metric m;
+    m.path = path;
+    m.kind = kind;
+    m.value = value;
+    m.rate_per_s = rate;
+    w.metrics.push_back(m);
+  };
+  metric("/service/backlog", counter_kind::gauge, 3, 0);
+  metric("/threads/count/cumulative", counter_kind::monotonic, 50532, 4210.5);
+  metric("/threads/idle-rate", counter_kind::rate, 0.0417, 0);
+  w.idle_rate = 0.0417;
+  w.tasks_delta = 421;
+  w.tasks_per_s = 4210.5;
+  w.task_duration = {21400, 44800.5, 61200, 23912.25, 421};
+  w.task_overhead = {810, 1700.75, 9400, 1100.125, 425};
+  w.has_service = true;
+  w.sojourn = {26400, 42700, 64900.5, 28000.125, 4099};
+  w.queue_wait = {1200, 3400, 9600, 1500.5, 4100};
+  w.accepted_per_s = 4100.25;
+  w.rejected_per_s = 12;
+  w.completed_per_s = 4099;
+  w.rejection_rate = 0.00292;
+  w.service_backlog = 3;
+  w.has_pmu = true;
+  w.pmu_mode = 2;
+  w.ipc = {1.234, 2.5, 3.125, 1.5, 400};
+  w.instructions = {51200, 102400, 204800, 60000.75, 400};
+  w.llc = {12, 40, 96, 18.5, 380};
+  worker_window r0;
+  r0.worker = 0;
+  r0.tasks_per_s = 2105.5;
+  r0.idle_rate = 0.03;
+  r0.stolen_per_s = 12;
+  r0.duration = {21000, 44000, 60000, 0, 2105};
+  r0.ipc = {1.25, 0, 0, 0, 200};
+  r0.heartbeat_age_ns = 120000;
+  r0.running_task = 8812;
+  r0.running_ns = 18000.5;
+  worker_window r1;
+  r1.worker = 1;
+  r1.tasks_per_s = 2105;
+  r1.idle_rate = 0.0534;
+  r1.duration = {21500.5, 44500, 61000, 0, 2106};
+  r1.ipc = {1.2, 0, 0, 0, 200};
+  r1.heartbeat_age_ns = 95000.25;
+  w.workers = {r0, r1};
+
+  std::stringstream line;
+  write_window_jsonl(line, w);
+  const std::string expected =
+      R"({"type":"window","seq":7,"t_start_ns":1000000000,)"
+      R"("t_end_ns":1100000000,"dt_s":0.1,"interval":{"idle_rate":0.0417,)"
+      R"("tasks":421,"tasks_per_s":4210.5,"task_duration":{"p50_ns":21400,)"
+      R"("p95_ns":44800.5,"p99_ns":61200,"mean_ns":23912.2,"count":421},)"
+      R"("task_overhead":{"p50_ns":810,"p95_ns":1700.75,"p99_ns":9400,)"
+      R"("mean_ns":1100.12,"count":425},)"
+      R"("service":{"accepted_per_s":4100.25,"rejected_per_s":12,)"
+      R"("completed_per_s":4099,"rejection_rate":0.00292,"backlog":3,)"
+      R"("sojourn":{"p50_ns":26400,"p95_ns":42700,"p99_ns":64900.5,)"
+      R"("mean_ns":28000.1,"count":4099},"queue_wait":{"p50_ns":1200,)"
+      R"("p95_ns":3400,"p99_ns":9600,"mean_ns":1500.5,"count":4100}},)"
+      R"("pmu":{"mode":2,"ipc":{"p50":1.234,"p95":2.5,"p99":3.125,)"
+      R"("mean":1.5,"count":400},"instructions":{"p50":51200,"p95":102400,)"
+      R"("p99":204800,"mean":60000.8,"count":400},"llc_miss":{"p50":12,)"
+      R"("p95":40,"p99":96,"mean":18.5,"count":380}}},)"
+      R"("counters":{"/service/backlog":3,)"
+      R"("/threads/count/cumulative":50532,"/threads/idle-rate":0.0417},)"
+      R"("rates":{"/threads/count/cumulative":4210.5},)"
+      R"("workers":[{"worker":0,"tasks_per_s":2105.5,"idle_rate":0.03,)"
+      R"("stolen_per_s":12,"duration_p50_ns":21000,"duration_p95_ns":44000,)"
+      R"("duration_p99_ns":60000,"duration_samples":2105,"ipc_p50":1.25,)"
+      R"("ipc_samples":200,"heartbeat_age_ns":120000,"running_task":8812,)"
+      R"("running_ns":18000.5},{"worker":1,"tasks_per_s":2105,)"
+      R"("idle_rate":0.0534,"stolen_per_s":0,"duration_p50_ns":21500.5,)"
+      R"("duration_p95_ns":44500,"duration_p99_ns":61000,)"
+      R"("duration_samples":2106,"ipc_p50":1.2,"ipc_samples":200,)"
+      R"("heartbeat_age_ns":95000.2,"running_task":0,"running_ns":0}]})" "\n";
+  EXPECT_EQ(line.str(), expected);
+}
+
 TEST(Exporter, MetricsSinkAppendsToFile) {
   const std::string path = temp_path("sink.jsonl");
   std::remove(path.c_str());
@@ -296,53 +402,61 @@ TEST(Exporter, MetricsSinkAppendsToFile) {
 }
 
 // --- stall watchdog --------------------------------------------------------
+//
+// The watchdog reads only its window, so these run on hand-built windows.
 
 class WatchdogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    stall_stats::instance().reset();
-    heartbeat_board::instance().attach(1);
-  }
-  void TearDown() override { heartbeat_board::instance().detach(); }
+  void SetUp() override { stall_stats::instance().reset(); }
 };
 
 TEST_F(WatchdogTest, StuckTaskDetectedOncePerPhase) {
-  auto* slot = heartbeat_board::instance().slot(0);
-  slot->task_id.store(42, std::memory_order_relaxed);
-  slot->phase_start_ticks.store(tsc_clock::now(), std::memory_order_relaxed);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-
   watchdog_options opt;
-  opt.stuck_ns = 1'000'000;  // 1 ms, long exceeded by the sleep
+  opt.stuck_ns = 1'000'000;  // 1 ms
   stall_watchdog dog(opt);
-  const window_snapshot w = make_window({}, 0, 0);
 
-  auto incidents = dog.check(w);
+  // Below the threshold: nothing yet.
+  EXPECT_TRUE(dog.check(make_window({}, 0, 0, {live_row(0, 5, 42, 0.5e6)})).empty());
+
+  const window_snapshot stuck =
+      make_window({}, 0, 0, {live_row(0, 5, 42, 10e6), live_row(1, 9, 0, 0)});
+  auto incidents = dog.check(stuck);
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].kind, stall_kind::stuck_task);
   EXPECT_EQ(incidents[0].worker, 0);
   EXPECT_EQ(incidents[0].task_id, 42u);
-  EXPECT_GE(incidents[0].age_ns, 1e6);
+  EXPECT_EQ(incidents[0].age_ns, 10e6);
   EXPECT_EQ(stall_stats::instance().stuck.load(), 1u);
 
-  // Same phase: deduplicated.
-  EXPECT_TRUE(dog.check(w).empty());
+  // Same phase, still running: deduplicated.
+  EXPECT_TRUE(dog.check(make_window({}, 0, 0, {live_row(0, 5, 42, 20e6)})).empty());
 
-  // Phase ends, a new long phase starts: the detector re-arms.
-  slot->phase_start_ticks.store(0, std::memory_order_relaxed);
-  EXPECT_TRUE(dog.check(w).empty());
-  slot->phase_start_ticks.store(tsc_clock::now(), std::memory_order_relaxed);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(dog.check(w).size(), 1u);
+  // The same phase on another worker is another (worker, phase).
+  EXPECT_EQ(dog.check(make_window({}, 0, 0, {live_row(1, 5, 42, 10e6)})).size(), 1u);
+  EXPECT_EQ(stall_stats::instance().stuck.load(), 2u);
+}
+
+TEST_F(WatchdogTest, StuckTaskRearmsForANewPhaseOfTheSameTask) {
+  watchdog_options opt;
+  opt.stuck_ns = 1'000'000;
+  stall_watchdog dog(opt);
+  EXPECT_EQ(dog.check(make_window({}, 0, 0, {live_row(0, 5, 42, 10e6)})).size(), 1u);
+
+  // The task yields and runs a new long phase on the same worker, seen
+  // without an idle window in between: its phase count moved.
+  EXPECT_EQ(dog.check(make_window({}, 0, 0, {live_row(0, 6, 42, 10e6)})).size(), 1u);
+
+  // A window with no phase in flight re-arms the worker too.
+  EXPECT_TRUE(dog.check(make_window({}, 0, 0, {live_row(0, 7, 0, 0)})).empty());
+  EXPECT_EQ(dog.check(make_window({}, 0, 0, {live_row(0, 7, 42, 10e6)})).size(), 1u);
+  EXPECT_EQ(stall_stats::instance().stuck.load(), 3u);
 }
 
 TEST_F(WatchdogTest, NoStuckIncidentBelowThreshold) {
-  auto* slot = heartbeat_board::instance().slot(0);
-  slot->phase_start_ticks.store(tsc_clock::now(), std::memory_order_relaxed);
   watchdog_options opt;
   opt.stuck_ns = 500'000'000;
   stall_watchdog dog(opt);
-  EXPECT_TRUE(dog.check(make_window({}, 0, 0)).empty());
+  EXPECT_TRUE(dog.check(make_window({}, 0, 0, {live_row(0, 0, 7, 499e6)})).empty());
   EXPECT_EQ(stall_stats::instance().total(), 0u);
 }
 
@@ -376,24 +490,24 @@ TEST_F(WatchdogTest, StarvedBackloggedAfterConsecutiveTicks) {
 TEST_F(WatchdogTest, FlatlineRequiresAliveTasksAndNoPhaseInFlight) {
   stall_watchdog dog;
   const window_snapshot dead = make_window(
-      {{"/threads/count/instantaneous/alive", 3}}, 0, 0);
+      {{"/threads/count/instantaneous/alive", 3}}, 0, 0, {live_row(0, 4, 0, 0)});
   dog.check(dead);
   dog.check(dead);
   auto incidents = dog.check(dead);
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].kind, stall_kind::flatline);
 
-  // A phase in flight (one legit long task) suppresses flatline entirely.
+  // A row with a running task (one legit long task) suppresses flatline
+  // entirely.
   stall_watchdog dog2;
-  heartbeat_board::instance().slot(0)->phase_start_ticks.store(
-      tsc_clock::now(), std::memory_order_relaxed);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(dog2.check(dead).empty());
+  const window_snapshot long_task = make_window(
+      {{"/threads/count/instantaneous/alive", 3}}, 0, 0,
+      {live_row(0, 4, 0, 0), live_row(1, 4, 99, 1e6)});
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(dog2.check(long_task).empty());
 
   // Idle-but-empty (alive == 0) never flatlines.
-  heartbeat_board::instance().slot(0)->phase_start_ticks.store(
-      0, std::memory_order_relaxed);
   stall_watchdog dog3;
-  const window_snapshot idle = make_window({}, 0, 0);
+  const window_snapshot idle = make_window({}, 0, 0, {live_row(0, 4, 0, 0)});
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(dog3.check(idle).empty());
 }
 
@@ -418,9 +532,17 @@ TEST(Telemetry, StreamsParseableWindowsWithHeartbeats) {
           this_task::yield();
         }
       });
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    // Two more windows close while the tasks run: the later one was sampled
+    // wholly after the manager registered its liveness gauges.
+    const std::uint64_t registered = session.windows_exported();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (session.windows_exported() < registered + 2 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     stop = true;
     tm.wait_idle();
+    ASSERT_GE(session.windows_exported(), registered + 2)
+        << "the telemetry thread closed no two windows in 5 s";
   }
   session.stop();
   EXPECT_GE(session.windows_exported(), 2u);
@@ -443,8 +565,8 @@ TEST(Telemetry, StreamsParseableWindowsWithHeartbeats) {
         if (row.find("heartbeat_age_ns") != nullptr) ++with_heartbeat;
   }
   EXPECT_EQ(windows, session.windows_exported());
-  // At least one mid-run window carried live heartbeat columns.
-  EXPECT_GT(with_heartbeat, 0u);
+  // At least one mid-run window carried the liveness columns of both workers.
+  EXPECT_GE(with_heartbeat, 2u);
   std::remove(path.c_str());
 }
 

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "async/async.hpp"
-#include "perf/heartbeat.hpp"
 #include "sync/latch.hpp"
 #include "threads/runtime.hpp"
 #include "threads/thread_manager.hpp"
@@ -412,8 +411,9 @@ TEST(ThreadManager, InstanceCountersSumToAggregate) {
     tm.stop();
 
     for (const char* name :
-         {"count/cumulative", "count/stolen", "count/stolen-local", "count/stolen-remote",
-          "count/pending-accesses", "count/pending-misses"}) {
+         {"count/cumulative", "count/cumulative-phases", "count/stolen",
+          "count/stolen-local", "count/stolen-remote", "count/pending-accesses",
+          "count/pending-misses"}) {
       const double aggregate = reg.value_or(std::string("/threads/") + name, -1);
       ASSERT_GE(aggregate, 0.0) << name;
       double sum = 0;
@@ -686,10 +686,9 @@ TEST(ThreadManager, IdleWorkerDoesNotParkWhileATaskIsQueued) {
 }
 
 
-TEST(ThreadManager, HeartbeatCountersAndBoardAttached) {
+TEST(ThreadManager, HeartbeatAndStallCountersRegistered) {
   thread_manager tm(test_config(2));
   auto& reg = perf::registry::instance();
-  EXPECT_EQ(perf::heartbeat_board::instance().active_workers(), 2);
 
   for (int i = 0; i < 200; ++i)
     tm.spawn([] {
@@ -721,12 +720,34 @@ TEST(ThreadManager, HeartbeatCountersAndBoardAttached) {
   EXPECT_LE(starving, static_cast<double>(tm.num_workers()));
 }
 
-TEST(ThreadManager, HeartbeatBoardDetachedAfterStop) {
-  {
-    thread_manager tm(test_config(2));
-    EXPECT_EQ(perf::heartbeat_board::instance().active_workers(), 2);
-  }
-  EXPECT_EQ(perf::heartbeat_board::instance().active_workers(), 0);
+// A phase in flight shows on its worker's liveness gauges: the running task's
+// id, and an age that grows while the phase runs.
+TEST(ThreadManager, RunningTaskGaugesFollowASpinningTask) {
+  thread_manager tm(test_config(2));
+  auto& reg = perf::registry::instance();
+  std::atomic<int> worker{-1};
+  std::atomic<std::uint64_t> id{0};
+  std::atomic<bool> release{false};
+  tm.spawn([&] {
+    worker.store(this_task::worker_index());
+    id.store(this_task::id());
+    while (!release.load()) {
+    }
+  });
+  while (id.load() == 0) std::this_thread::yield();
+  const std::string inst =
+      "/threads{worker#" + std::to_string(worker.load()) + "}/watchdog/";
+  EXPECT_EQ(reg.value_or(inst + "running-task", -1), static_cast<double>(id.load()));
+  const double first = reg.value_or(inst + "running-ns", -1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const double second = reg.value_or(inst + "running-ns", -1);
+  EXPECT_GT(first, 0.0);
+  EXPECT_GT(second, first);
+  EXPECT_EQ(reg.value_or(inst + "running-task", -1), static_cast<double>(id.load()));
+  release.store(true);
+  tm.wait_idle();
+  EXPECT_EQ(reg.value_or(inst + "running-task", -1), 0.0);
+  EXPECT_EQ(reg.value_or(inst + "running-ns", -1), 0.0);
 }
 
 TEST(ThreadManager, SpawnMoveOnlyBody) {

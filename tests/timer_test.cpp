@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <thread>
 
 #include "async/gran.hpp"
 #include "sync/timer_service.hpp"
@@ -62,6 +64,32 @@ TEST(TimerService, MultipleSleepersWakeInDeadlineOrder) {
   long_sleep.wait();
   short_sleep.wait();
   EXPECT_LT(pos_short.load(), pos_long.load());
+}
+
+// A stray wake (thread_manager::wake by anyone but the timer) of a sleeping
+// task costs one re-check: the sleep still lasts its whole duration, and the
+// timer's entry for the interrupted round never wakes the task after it
+// retired (under ASan that wake reports use-after-poison in timer_main).
+TEST(TimerService, StrayWakeDoesNotEndTheSleep) {
+  thread_manager tm(test_config(2));
+  std::atomic<task*> self{nullptr};
+  std::atomic<std::int64_t> slept_ms{-1};
+  tm.spawn([&] {
+    self = this_task::current();
+    const auto t0 = std::chrono::steady_clock::now();
+    this_task::sleep_for(100ms);
+    slept_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+  });
+  task* t = nullptr;
+  while ((t = self.load()) == nullptr) std::this_thread::yield();
+  while (t->state() != task_state::suspended) std::this_thread::yield();
+  tm.wake(t);
+  tm.wait_idle();
+  EXPECT_GE(slept_ms.load(), 99);  // allow 1ms clock granularity slack
+  // Past every deadline the sleep queued.
+  std::this_thread::sleep_for(200ms);
 }
 
 TEST(TimerService, PastDeadlineReturnsImmediately) {

@@ -35,6 +35,22 @@ using gran::json_value;
 
 // --- JSONL conformance -----------------------------------------------------
 
+// Empty when `parent` (named `section` in messages) holds a complete
+// percentile object `key`, as the exporter's one writer emits it: p50, p95,
+// p99 and mean with the key suffix ("_ns", or none for the PMU groups), and
+// count; else the first violation.
+std::string check_percentiles(const json_value& parent, const char* section,
+                              const char* key, const std::string& suffix) {
+  const json_value* h = parent.find(key);
+  if (!h || !h->is_object())
+    return std::string(section) + " missing object field \"" + key + "\"";
+  for (const std::string& sub : {"p50" + suffix, "p95" + suffix, "p99" + suffix,
+                                "mean" + suffix, std::string("count")})
+    if (const json_value* v = h->find(sub); !v || !v->is_number())
+      return std::string(key) + " missing numeric field \"" + sub + "\"";
+  return {};
+}
+
 // Returns an empty string when `line` is a well-formed stream record, else a
 // description of the first violation.
 std::string check_line(const std::string& line) {
@@ -61,14 +77,9 @@ std::string check_line(const std::string& line) {
     for (const char* key : {"idle_rate", "tasks", "tasks_per_s"})
       if (const json_value* v = interval->find(key); !v || !v->is_number())
         return std::string("interval missing numeric field \"") + key + "\"";
-    for (const char* key : {"task_duration", "task_overhead"}) {
-      const json_value* h = interval->find(key);
-      if (!h || !h->is_object())
-        return std::string("interval missing object field \"") + key + "\"";
-      for (const char* sub : {"p50_ns", "p95_ns", "p99_ns", "mean_ns", "count"})
-        if (const json_value* v = h->find(sub); !v || !v->is_number())
-          return std::string(key) + " missing numeric field \"" + sub + "\"";
-    }
+    for (const char* key : {"task_duration", "task_overhead"})
+      if (auto e = check_percentiles(*interval, "interval", key, "_ns"); !e.empty())
+        return e;
     // Optional service section (present only when a task_service ran):
     // absent is fine — no schema break for batch streams — but when present
     // it must be complete.
@@ -78,23 +89,14 @@ std::string check_line(const std::string& line) {
                               "completed_per_s", "rejection_rate", "backlog"})
         if (const json_value* v = svc->find(key); !v || !v->is_number())
           return std::string("service missing numeric field \"") + key + "\"";
-      const json_value* soj = svc->find("sojourn");
-      if (!soj || !soj->is_object())
-        return "service missing object field \"sojourn\"";
-      for (const char* sub : {"p50_ns", "p95_ns", "p99_ns", "mean_ns", "count"})
-        if (const json_value* v = soj->find(sub); !v || !v->is_number())
-          return std::string("sojourn missing numeric field \"") + sub + "\"";
+      if (auto e = check_percentiles(*svc, "service", "sojourn", "_ns"); !e.empty())
+        return e;
       // queue_wait rides the same optional-but-complete rule: streams from
       // writers predating it stay valid, current writers must emit the full
       // percentile object.
-      if (const json_value* qw = svc->find("queue_wait")) {
-        if (!qw->is_object()) return "service \"queue_wait\" is not an object";
-        for (const char* sub :
-             {"p50_ns", "p95_ns", "p99_ns", "mean_ns", "count"})
-          if (const json_value* v = qw->find(sub); !v || !v->is_number())
-            return std::string("queue_wait missing numeric field \"") + sub +
-                   "\"";
-      }
+      if (svc->find("queue_wait") != nullptr)
+        if (auto e = check_percentiles(*svc, "service", "queue_wait", "_ns"); !e.empty())
+          return e;
     }
     // Optional PMU section (present only when GRAN_PMU is on): complete
     // when present — mode plus the three percentile groups.
@@ -102,15 +104,8 @@ std::string check_line(const std::string& line) {
       if (!pmu->is_object()) return "interval \"pmu\" is not an object";
       if (const json_value* v = pmu->find("mode"); !v || !v->is_number())
         return "pmu missing numeric field \"mode\"";
-      for (const char* key : {"ipc", "instructions", "llc_miss"}) {
-        const json_value* h = pmu->find(key);
-        if (!h || !h->is_object())
-          return std::string("pmu missing object field \"") + key + "\"";
-        for (const char* sub : {"p50", "p95", "p99", "mean", "count"})
-          if (const json_value* v = h->find(sub); !v || !v->is_number())
-            return std::string("pmu ") + key + " missing numeric field \"" +
-                   sub + "\"";
-      }
+      for (const char* key : {"ipc", "instructions", "llc_miss"})
+        if (auto e = check_percentiles(*pmu, "pmu", key, ""); !e.empty()) return e;
     }
     for (const char* key : {"counters", "rates"})
       if (const json_value* v = doc->find(key); !v || !v->is_object())
